@@ -65,11 +65,9 @@ struct SingleThreadRow {
   double reference_ns_per_query = 0.0;
   double speedup = 0.0;
   std::uint64_t reference_queries = 0;  // the O(k) loop runs a subset
-  // Per-kernel ns/query through the batch entry point with the kernel
-  // pinned (no pool): the vectorized serving core's breakdown.
+  // ns/query through the batch entry point (no pool). Reported under
+  // "kernels.scalar_ns_per_query", the key the perf gate compares.
   double scalar_kernel_ns_per_query = 0.0;
-  double eytzinger_ns_per_query = 0.0;
-  double simd_ns_per_query = 0.0;  // 0 when the CPU lacks AVX2
 };
 
 struct BatchRow {
@@ -178,8 +176,6 @@ std::string ToJson(const std::vector<KReport>& reports,
   os << "  \"queries_per_class\": " << queries_per_class << ",\n";
   os << "  \"host\": {\"hardware_concurrency\": " << bench::HostConcurrency()
      << "},\n";
-  os << "  \"simd_available\": "
-     << (CompiledEstimator::SimdAvailable() ? "true" : "false") << ",\n";
   os << "  \"batch_multi_column\": [\n";
   for (std::size_t i = 0; i < multi_column.size(); ++i) {
     const MultiColumnRow& row = multi_column[i];
@@ -222,9 +218,7 @@ std::string ToJson(const std::vector<KReport>& reports,
          << ", \"reference_queries\": " << row.reference_queries
          << ", \"speedup\": " << row.speedup << ",\n"
          << "       \"kernels\": {\"scalar_ns_per_query\": "
-         << row.scalar_kernel_ns_per_query
-         << ", \"eytzinger_ns_per_query\": " << row.eytzinger_ns_per_query
-         << ", \"simd_ns_per_query\": " << row.simd_ns_per_query << "}}"
+         << row.scalar_kernel_ns_per_query << "}}"
          << (i + 1 < report.single_thread.size() ? "," : "") << "\n";
     }
     os << "    ], \"batch\": [\n";
@@ -333,35 +327,23 @@ int main(int argc, char** argv) {
       row.speedup = row.compiled_ns_per_query > 0.0
                         ? row.reference_ns_per_query / row.compiled_ns_per_query
                         : 0.0;
-      // Per-kernel breakdown: the same queries through the batch entry
-      // point with the kernel pinned. All three produce bitwise-identical
-      // estimates (the differential test suite's guarantee); this records
-      // what each layout/instruction set buys.
-      std::vector<double> kernel_out(qc.queries.size());
-      const double count = static_cast<double>(qc.queries.size());
-      const auto kernel_ns = [&](EstimatorKernel kernel) {
-        return BestNs(
-                   [&]() {
-                     compiled.EstimateRangeCounts(qc.queries, kernel_out,
-                                                  nullptr, kernel);
-                     return kernel_out[0];
-                   },
-                   &sink) /
-               count;
-      };
-      row.scalar_kernel_ns_per_query = kernel_ns(EstimatorKernel::kScalar);
-      row.eytzinger_ns_per_query = kernel_ns(EstimatorKernel::kEytzinger);
-      row.simd_ns_per_query = CompiledEstimator::SimdAvailable()
-                                  ? kernel_ns(EstimatorKernel::kSimd)
-                                  : 0.0;
+      // The same queries through the batch entry point (no pool).
+      std::vector<double> batch_out(qc.queries.size());
+      row.scalar_kernel_ns_per_query =
+          BestNs(
+              [&]() {
+                compiled.EstimateRangeCounts(qc.queries, batch_out, nullptr);
+                return batch_out[0];
+              },
+              &sink) /
+          static_cast<double>(qc.queries.size());
       report.single_thread.push_back(row);
       std::cerr << "  k=" << k << " " << row.query_class
                 << ": compiled=" << row.compiled_ns_per_query
                 << " ns/q, reference=" << row.reference_ns_per_query
                 << " ns/q, speedup=" << row.speedup
-                << "x | kernels scalar=" << row.scalar_kernel_ns_per_query
-                << " eytzinger=" << row.eytzinger_ns_per_query
-                << " simd=" << row.simd_ns_per_query << " ns/q\n";
+                << "x | batch=" << row.scalar_kernel_ns_per_query
+                << " ns/q\n";
     }
 
     // -- batch QPS scaling ------------------------------------------------
@@ -393,8 +375,8 @@ int main(int argc, char** argv) {
   //
   // A planner estimating a predicate list touches several columns at once.
   // EstimateBatch groups the interleaved requests per column, resolves each
-  // serving slot once, and runs every group through the vectorized batch
-  // kernel — vs the per-request loop that re-enters the manager (slot
+  // serving slot once, and runs every group through the compiled batch
+  // path — vs the per-request loop that re-enters the manager (slot
   // lookup, staleness check) for every single predicate.
   std::vector<MultiColumnRow> multi_column;
   {

@@ -1,4 +1,4 @@
-// Structure-aware differential fuzz target for the serving kernels
+// Structure-aware differential fuzz target for the serving kernel
 // (core/compiled_estimator.h). The input decodes into a *valid* histogram
 // spec — bucket count, fences (moderate or full-domain extreme), a
 // non-decreasing separator sequence with forced duplicate runs (the
@@ -6,12 +6,11 @@
 // in-domain, separator-aligned, reversed and fence-overshooting ranges.
 // Properties:
 //
-//   - kScalar, kEytzinger and kSimd agree BITWISE, single-query and
-//     batch, per the kernel identity guarantee (same comparison sequence,
-//     same interpolation arithmetic, contraction disabled);
-//   - every kernel agrees with the reference bucket-walking loop
-//     (core/range_estimator.h) within the documented tolerance of a few
-//     ulps of the largest bucket count;
+//   - the batch path agrees BITWISE with the single-query path, both
+//     sequentially and sharded over a thread pool;
+//   - the compiled estimator agrees with the reference bucket-walking
+//     loop (core/range_estimator.h) within the documented tolerance of a
+//     few ulps of the largest bucket count;
 //   - estimates are finite, non-negative, and bounded by the total.
 
 #include <algorithm>
@@ -22,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/compiled_estimator.h"
 #include "core/histogram.h"
 #include "core/range_estimator.h"
@@ -145,12 +145,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     queries.push_back(DecodeQuery(stream, histogram));
   }
 
-  // Single-query kernels: bitwise identity, reference agreement, sanity.
+  // Single-query path: reference agreement and sanity.
   for (const auto& query : queries) {
     const double scalar = compiled.EstimateRangeCount(query);
-    const double eytzinger = compiled.EstimateRangeCountEytzinger(query);
-    FUZZ_CHECK(BitEqual(scalar, eytzinger),
-               "Eytzinger kernel diverged from scalar");
     FUZZ_CHECK(std::isfinite(scalar), "non-finite estimate");
     FUZZ_CHECK(scalar >= 0.0, "negative estimate");
     FUZZ_CHECK(scalar <= static_cast<double>(histogram.total()) + tolerance,
@@ -160,22 +157,28 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                "compiled estimate outside the documented reference tolerance");
   }
 
-  // Batch kernels: every explicit kernel and kAuto, bitwise equal to the
-  // single-query path element by element.
-  const equihist::EstimatorKernel kernels[] = {
-      equihist::EstimatorKernel::kScalar,
-      equihist::EstimatorKernel::kEytzinger,
-      equihist::EstimatorKernel::kSimd,
-      equihist::EstimatorKernel::kAuto,
-  };
-  std::vector<double> out(queries.size());
-  for (const auto kernel : kernels) {
-    std::fill(out.begin(), out.end(), -1.0);
-    compiled.EstimateRangeCounts(queries, out, nullptr, kernel);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      FUZZ_CHECK(BitEqual(out[i], compiled.EstimateRangeCount(queries[i])),
-                 "batch kernel diverged from the single-query path");
-    }
+  // Batch path, sequential: bitwise equal to the single-query path
+  // element by element.
+  std::vector<double> out(queries.size(), -1.0);
+  compiled.EstimateRangeCounts(queries, out, nullptr);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    FUZZ_CHECK(BitEqual(out[i], compiled.EstimateRangeCount(queries[i])),
+               "batch diverged from the single-query path");
+  }
+
+  // Batch path, pool-sharded: the decoded queries are tiled past the
+  // batch size at which the estimator fans out over the pool, so the
+  // sharded path really runs.
+  static equihist::ThreadPool pool(2);
+  std::vector<equihist::RangeQuery> tiled;
+  while (tiled.size() < 640) {
+    tiled.insert(tiled.end(), queries.begin(), queries.end());
+  }
+  std::vector<double> pooled(tiled.size(), -1.0);
+  compiled.EstimateRangeCounts(tiled, pooled, &pool);
+  for (std::size_t i = 0; i < tiled.size(); ++i) {
+    FUZZ_CHECK(BitEqual(pooled[i], out[i % queries.size()]),
+               "pool-sharded batch diverged from the single-query path");
   }
   return 0;
 }

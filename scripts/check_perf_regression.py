@@ -37,13 +37,11 @@ def single_thread_metrics(doc):
             base = f"k={k}/{row.get('class')}"
             if "compiled_ns_per_query" in row:
                 metrics[f"{base}/compiled"] = row["compiled_ns_per_query"]
-            kernels = row.get("kernels", {})
-            for kernel in ("scalar", "eytzinger", "simd"):
-                value = kernels.get(f"{kernel}_ns_per_query")
-                # simd reports 0 when the CPU lacks AVX2; a 0 on either
-                # side makes the ratio meaningless, so callers filter.
-                if value:
-                    metrics[f"{base}/{kernel}"] = value
+            # The batch entry point's ns/query; older baselines also carry
+            # per-kernel entries that no longer exist and are not gated.
+            scalar = row.get("kernels", {}).get("scalar_ns_per_query")
+            if scalar:
+                metrics[f"{base}/scalar"] = scalar
         for row in config.get("batch", []):
             if row.get("threads") == 1 and row.get("qps"):
                 # Stored inverted (ns/query) so "bigger is worse" holds

@@ -22,8 +22,6 @@ const char* Name(Counter counter) {
       return "fallback_publishes";
     case Counter::kDmlRecords:
       return "dml_records";
-    case Counter::kCoalescedBatches:
-      return "coalesced_batches";
     case Counter::kCoalescedRequests:
       return "coalesced_requests";
     case Counter::kWireFramesServed:
@@ -42,10 +40,6 @@ const char* Name(Counter counter) {
       return "transport_requests";
     case Counter::kTransportRetries:
       return "transport_retries";
-    case Counter::kTransportHedges:
-      return "transport_hedges";
-    case Counter::kTransportHedgeWins:
-      return "transport_hedge_wins";
     case Counter::kTransportDeadlineExceeded:
       return "transport_deadline_exceeded";
     case Counter::kTransportBackpressure:
@@ -94,8 +88,6 @@ const char* Name(Hist hist) {
       return "build_latency_micros";
     case Hist::kEstimateBatchSize:
       return "estimate_batch_size";
-    case Hist::kCoalescedBatchSize:
-      return "coalesced_batch_size";
     case Hist::kTransportRoundTripMicros:
       return "transport_round_trip_micros";
     case Hist::kServerQueueWaitMicros:

@@ -1,8 +1,10 @@
 #ifndef EQUIHIST_COMMON_METRICS_H_
 #define EQUIHIST_COMMON_METRICS_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -31,8 +33,10 @@ enum class Counter : std::size_t {
   kIncrementalRefreshes,    // O(delta) reservoir-backed publishes
   kFallbackPublishes,       // uniform-fallback snapshots published
   kDmlRecords,              // RecordModifications/Insert/Delete calls
-  kCoalescedBatches,        // combined executions covering >1 submission
-  kCoalescedRequests,       // requests that rode a combined execution
+  // Always 0: the fleet no longer coalesces concurrent batches (DESIGN.md
+  // §16). The slot stays because perfbench/src/main.cc reads it for the
+  // statistics_fleet.coalesced_ratio metric.
+  kCoalescedRequests,
   kWireFramesServed,        // wire frames dispatched successfully
   kWireFrameErrors,         // wire frames rejected (corrupt or failed)
   kSchedulerEnqueued,       // build requests admitted to the queue
@@ -40,10 +44,8 @@ enum class Counter : std::size_t {
   kSchedulerCompleted,      // scheduled builds that finished OK
   kSchedulerFailed,         // scheduled builds that returned an error
   // Fleet transport client (stats/transport_client.h).
-  kTransportRequests,        // Call() invocations (before retries/hedges)
+  kTransportRequests,        // Call() invocations (before retries)
   kTransportRetries,         // retry attempts actually taken
-  kTransportHedges,          // hedge attempts launched
-  kTransportHedgeWins,       // exchanges where the hedge finished first
   kTransportDeadlineExceeded,  // calls that failed with the budget spent
   kTransportBackpressure,    // typed kResourceExhausted shed rejections seen
   kTransportBreakerOpens,    // per-peer breaker open transitions
@@ -73,7 +75,6 @@ enum class Gauge : std::size_t {
 enum class Hist : std::size_t {
   kBuildLatencyMicros = 0,  // wall time of one published build
   kEstimateBatchSize,       // requests per EstimateBatch call
-  kCoalescedBatchSize,      // requests per combined coalescer execution
   kTransportRoundTripMicros,  // client-observed wall time per exchange
   kServerQueueWaitMicros,     // enqueue-to-dequeue wait per work item
   kCount,
@@ -137,13 +138,12 @@ class MetricsPlane {
     return std::uint64_t{1} << bucket;
   }
 
+  // The bucket `value` falls in: the smallest i with value <= 2^i, i.e.
+  // bit_width(value - 1), capped at the overflow bucket. O(1).
   static std::size_t BucketOf(std::uint64_t value) noexcept {
-    std::size_t bucket = 0;
-    while (bucket + 1 < kHistBuckets &&
-           value > (std::uint64_t{1} << bucket)) {
-      ++bucket;
-    }
-    return bucket;
+    return value <= 1 ? 0
+                      : std::min<std::size_t>(std::bit_width(value - 1),
+                                              kHistBuckets - 1);
   }
 
   // One relaxed-snapshot JSON object:

@@ -74,8 +74,8 @@ PlanChoice ChooseAccessPath(const ColumnStatistics& stats,
                             const CostModel& cost_model = CostModel{});
 
 // Batch plan choice: one PlanChoice per query, with all the estimates
-// produced by a single call into the model's batch path (the vectorized
-// serving core on equi-height; `pool` shards large batches). Choices are
+// produced by a single call into the model's batch path (the compiled
+// estimator on equi-height; `pool` shards large batches). Choices are
 // bitwise what per-query ChooseAccessPath would pick.
 std::vector<PlanChoice> ChooseAccessPaths(
     const HistogramModel& model, std::span<const RangeQuery> queries,

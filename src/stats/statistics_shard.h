@@ -243,7 +243,7 @@ class StatisticsShard {
   // one call. Each distinct column's snapshot resolves once through the
   // lock-free serving cache (first access may build, exactly like
   // EstimateRange); its queries then run through the backend's batch path,
-  // the vectorized serving core on equi-height. With use_pool, per-column
+  // the compiled estimator on equi-height. With use_pool, per-column
   // sub-batches shard across the manager's pool; results are
   // bitwise-identical at any thread count. On error (an unbuildable
   // column), estimates already computed are unspecified and the first

@@ -32,31 +32,11 @@ struct TransportClient::PeerState {
   std::uint64_t open_until = 0;  // breaker-clock micros; 0 = closed
 };
 
-// Shared state of one hedged exchange. The caller and up to two pool
-// tasks touch it; the shared_ptr keeps it alive past an abandoning
-// caller, so a late attempt completes into memory nobody reads.
-struct TransportClient::Exchange {
-  Mutex mu{lockrank::kExchange};
-  CondVar cv;
-  bool done GUARDED_BY(mu) = false;
-  bool winner_is_hedge GUARDED_BY(mu) = false;
-  int outstanding GUARDED_BY(mu) = 0;
-  Result<std::vector<std::uint8_t>> result GUARDED_BY(mu){
-      Status::Internal("exchange unresolved")};
-};
-
 TransportClient::TransportClient(Options options)
     : options_(std::move(options)),
       jitter_rng_(DeriveStreamSeed(options_.jitter_seed, 0x7261775F6C6B74ULL)) {
   if (options_.retry_jitter < 0.0) options_.retry_jitter = 0.0;
   if (options_.retry_jitter > 1.0) options_.retry_jitter = 1.0;
-  if (options_.latency_window == 0) options_.latency_window = 1;
-  if (options_.enable_hedging) {
-    // 2 real workers + the caller: the hedge must be able to run while
-    // the primary blocks (a size-1 pool would run Submit inline and
-    // serialize them, defeating the hedge entirely).
-    hedge_pool_ = std::make_unique<ThreadPool>(3);
-  }
 }
 
 TransportClient::~TransportClient() = default;
@@ -72,8 +52,6 @@ std::size_t TransportClient::peer_count() const {
   MutexLock lock(mu_);
   return peers_.size();
 }
-
-std::uint64_t TransportClient::NowMicros() const { return SteadyMicros(); }
 
 bool TransportClient::BreakerAdmits(PeerState& peer) {
   if (peer.open_until == 0) return true;
@@ -99,36 +77,6 @@ void TransportClient::RecordBreakerFailure(PeerState& peer) {
   if (!was_open && options_.metrics != nullptr) {
     options_.metrics->Increment(metrics::Counter::kTransportBreakerOpens);
   }
-}
-
-std::uint64_t TransportClient::HedgeDelayMicros() {
-  // Before the window warms up there is no percentile worth trusting.
-  std::vector<std::uint64_t> samples;
-  samples.reserve(latency_window_.size());
-  for (const std::uint64_t sample : latency_window_) {
-    if (sample != 0) samples.push_back(sample);
-  }
-  std::uint64_t delay = options_.hedge_initial_delay_micros;
-  if (samples.size() >= 8) {
-    std::sort(samples.begin(), samples.end());
-    double p = options_.hedge_percentile;
-    if (p < 0.0) p = 0.0;
-    if (p > 1.0) p = 1.0;
-    std::size_t index = static_cast<std::size_t>(
-        p * static_cast<double>(samples.size()));
-    if (index >= samples.size()) index = samples.size() - 1;
-    delay = samples[index];
-  }
-  return std::max(delay, options_.hedge_min_delay_micros);
-}
-
-void TransportClient::RecordLatency(std::uint64_t micros) {
-  if (latency_window_.size() < options_.latency_window) {
-    latency_window_.push_back(micros == 0 ? 1 : micros);
-    return;
-  }
-  latency_window_[latency_next_] = micros == 0 ? 1 : micros;
-  latency_next_ = (latency_next_ + 1) % latency_window_.size();
 }
 
 Result<std::vector<std::uint8_t>> TransportClient::SingleExchange(
@@ -162,13 +110,9 @@ Result<std::vector<std::uint8_t>> TransportClient::SingleExchange(
   return response;
 }
 
-Result<std::vector<std::uint8_t>> TransportClient::HedgedAttempt(
-    std::span<const std::uint8_t> frame, bool idempotent,
-    std::uint64_t deadline_abs) {
-  std::size_t primary = static_cast<std::size_t>(-1);
-  std::size_t hedge_peer = static_cast<std::size_t>(-1);
-  std::uint64_t hedge_delay = 0;
-  bool hedging = false;
+Result<std::vector<std::uint8_t>> TransportClient::Attempt(
+    std::span<const std::uint8_t> frame, std::uint64_t deadline_abs) {
+  std::size_t peer_index = static_cast<std::size_t>(-1);
   {
     MutexLock lock(mu_);
     const std::size_t n = peers_.size();
@@ -178,146 +122,34 @@ Result<std::vector<std::uint8_t>> TransportClient::HedgedAttempt(
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t candidate = (next_peer_ + i) % n;
       if (BreakerAdmits(*peers_[candidate])) {
-        primary = candidate;
+        peer_index = candidate;
         break;
       }
     }
     next_peer_ = (next_peer_ + 1) % n;
-    if (primary == static_cast<std::size_t>(-1)) {
+    if (peer_index == static_cast<std::size_t>(-1)) {
       if (options_.metrics != nullptr) {
         options_.metrics->Increment(
             metrics::Counter::kTransportBreakerFastFails);
       }
       return Status::Unavailable("every peer's circuit breaker is open");
     }
-    hedging = options_.enable_hedging && idempotent && hedge_pool_ != nullptr;
-    if (hedging) {
-      hedge_delay = HedgeDelayMicros();
-      // Prefer a different peer; with one peer, race two links to it.
-      hedge_peer = primary;
-      for (std::size_t i = 1; i < n; ++i) {
-        const std::size_t candidate = (primary + i) % n;
-        if (BreakerAdmits(*peers_[candidate])) {
-          hedge_peer = candidate;
-          break;
-        }
-      }
-    }
   }
 
   const std::uint64_t attempt_start = SteadyMicros();
-  // Settles one wire exchange: breaker bookkeeping, then completion of
-  // the shared state (first success wins; the last failure wins when
-  // nothing succeeds).
-  auto settle = [this](std::size_t peer_index,
-                       const Result<std::vector<std::uint8_t>>& result) {
-    MutexLock lock(mu_);
-    PeerState& peer = *peers_[peer_index];
-    if (result.ok()) {
-      RecordBreakerSuccess(peer);
-    } else if (result.status().code() == StatusCode::kUnavailable ||
-               result.status().code() == StatusCode::kDeadlineExceeded) {
-      RecordBreakerFailure(peer);
-    }
-  };
-
-  if (!hedging) {
-    Result<std::vector<std::uint8_t>> result =
-        SingleExchange(primary, frame, deadline_abs);
-    settle(primary, result);
-    if (result.ok()) {
-      const std::uint64_t elapsed = SteadyMicros() - attempt_start;
-      MutexLock lock(mu_);
-      RecordLatency(elapsed);
-      if (options_.metrics != nullptr) {
-        options_.metrics->Observe(metrics::Hist::kTransportRoundTripMicros,
-                                  elapsed);
-      }
-    }
-    return result;
+  Result<std::vector<std::uint8_t>> result =
+      SingleExchange(peer_index, frame, deadline_abs);
+  if (result.ok() && options_.metrics != nullptr) {
+    options_.metrics->Observe(metrics::Hist::kTransportRoundTripMicros,
+                              SteadyMicros() - attempt_start);
   }
-
-  auto state = std::make_shared<Exchange>();
-  auto frame_copy = std::make_shared<std::vector<std::uint8_t>>(frame.begin(),
-                                                                frame.end());
-  auto run = [this, state, frame_copy, deadline_abs, settle](
-                 std::size_t peer_index, bool is_hedge) {
-    Result<std::vector<std::uint8_t>> result =
-        SingleExchange(peer_index, *frame_copy, deadline_abs);
-    settle(peer_index, result);
-    MutexLock lock(state->mu);
-    --state->outstanding;
-    if (state->done) return;  // a winner already finished; discard
-    if (result.ok() || state->outstanding == 0) {
-      state->done = true;
-      state->winner_is_hedge = is_hedge;
-      state->result = std::move(result);
-      state->cv.NotifyAll();
-    }
-  };
-
-  {
-    MutexLock lock(state->mu);
-    state->outstanding = 1;
-  }
-  std::ignore = hedge_pool_->Submit([run, primary]() { run(primary, false); });
-
-  // Wait out the hedge delay; launch the hedge only if the primary has
-  // neither answered nor failed by then.
-  bool launch_hedge = false;
-  {
-    MutexLock lock(state->mu);
-    const std::uint64_t wait =
-        std::min(hedge_delay, RemainingMicros(deadline_abs));
-    const bool finished =
-        state->cv.WaitFor(state->mu, std::chrono::microseconds(wait),
-                          [&state]() REQUIRES(state->mu) {
-                            return state->done;
-                          });
-    if (!finished && RemainingMicros(deadline_abs) > 0) {
-      launch_hedge = true;
-      ++state->outstanding;
-    }
-  }
-  if (launch_hedge) {
-    if (options_.metrics != nullptr) {
-      options_.metrics->Increment(metrics::Counter::kTransportHedges);
-    }
-    std::ignore =
-        hedge_pool_->Submit([run, hedge_peer]() { run(hedge_peer, true); });
-  }
-
-  bool winner_is_hedge = false;
-  Result<std::vector<std::uint8_t>> result{
-      Status::DeadlineExceeded("call budget exhausted")};
-  {
-    MutexLock lock(state->mu);
-    const bool finished = state->cv.WaitFor(
-        state->mu, std::chrono::microseconds(RemainingMicros(deadline_abs) + 1),
-        [&state]() REQUIRES(state->mu) { return state->done; });
-    if (finished) {
-      result = std::move(state->result);
-      winner_is_hedge = state->winner_is_hedge;
-      // Late attempts must not resurrect the moved-from result.
-      state->result = Status::Internal("exchange already claimed");
-    } else {
-      // Abandon: the deadline fired with attempts still in flight. They
-      // complete into `state` (kept alive by their shared_ptr copies)
-      // and their links are pooled or discarded as usual.
-      state->done = true;
-    }
-  }
+  MutexLock lock(mu_);
+  PeerState& peer = *peers_[peer_index];
   if (result.ok()) {
-    const std::uint64_t elapsed = SteadyMicros() - attempt_start;
-    MutexLock lock(mu_);
-    RecordLatency(elapsed);
-    if (options_.metrics != nullptr) {
-      options_.metrics->Observe(metrics::Hist::kTransportRoundTripMicros,
-                                elapsed);
-      if (winner_is_hedge) {
-        options_.metrics->Increment(metrics::Counter::kTransportHedgeWins);
-      }
-    }
+    RecordBreakerSuccess(peer);
+  } else if (result.status().code() == StatusCode::kUnavailable ||
+             result.status().code() == StatusCode::kDeadlineExceeded) {
+    RecordBreakerFailure(peer);
   }
   return result;
 }
@@ -372,7 +204,7 @@ Result<std::vector<std::uint8_t>> TransportClient::Call(
           deadline_abs, SteadyMicros() + options_.attempt_timeout_micros);
     }
     Result<std::vector<std::uint8_t>> result =
-        HedgedAttempt(frame, idempotent, attempt_deadline);
+        Attempt(frame, attempt_deadline);
     if (result.ok()) {
       const Result<fleetwire::FrameType> type = fleetwire::PeekType(*result);
       if (!type.ok()) {

@@ -14,7 +14,6 @@
 #include "common/result.h"
 #include "common/retry.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "stats/fleet_wire.h"
 #include "stats/transport.h"
 
@@ -32,9 +31,6 @@ namespace equihist::transport {
 //                (common/retry.h): transport failures are correlated
 //                across clients, so un-jittered backoff would stampede a
 //                recovering peer.
-//   hedging    — after the observed round-trip latency percentile with no
-//                answer, an idempotent call is raced on a second
-//                connection; first success wins, the loser is discarded.
 //   breakers   — per peer, the PR-4 state machine (N consecutive
 //                failures open it; after a cooldown one probe passes
 //                half-open; success closes). Open peers are skipped;
@@ -71,18 +67,6 @@ class TransportClient {
     // *transient* failure — the next attempt may land on a healthier
     // connection.
     std::uint64_t attempt_timeout_micros = 0;
-    // Hedged reads. Off, attempts run inline on the caller; on, they run
-    // on a small internal pool so the hedge can overtake a stalled
-    // primary.
-    bool enable_hedging = false;
-    // Launch the hedge after this percentile of the recent round-trip
-    // window...
-    double hedge_percentile = 0.95;
-    // ...but never earlier than this, and before the window has warmed
-    // up (8 samples) after this initial delay.
-    std::uint64_t hedge_min_delay_micros = 100;
-    std::uint64_t hedge_initial_delay_micros = 10'000;
-    std::size_t latency_window = 64;
     // Per-peer circuit breaker (PR-4 semantics).
     std::uint64_t breaker_failure_threshold = 3;
     std::uint64_t breaker_cooldown_micros = 1'000'000;
@@ -98,13 +82,12 @@ class TransportClient {
   TransportClient(const TransportClient&) = delete;
   TransportClient& operator=(const TransportClient&) = delete;
 
-  // Peers are tried round-robin; the hedge goes to a different peer than
-  // the primary when more than one is registered.
+  // Peers are tried round-robin, skipping those whose breaker is open.
   void AddPeer(Peer peer);
   std::size_t peer_count() const;
 
   // Sends one fleetwire request frame and returns the response frame.
-  // `idempotent` gates retries and hedging: estimate and metrics reads
+  // `idempotent` gates retries: estimate and metrics reads
   // are; build-control mutations are not (a retried kRecordModifications
   // would double-count). `deadline_micros` of 0 uses the default budget.
   // Rejection frames come back as their carried Status, never as bytes.
@@ -114,36 +97,32 @@ class TransportClient {
 
   // -- Typed convenience wrappers ------------------------------------------
 
-  // Idempotent: retried and hedged.
+  // Idempotent: retried.
   Result<std::vector<double>> EstimateBatch(
       const std::vector<BatchEstimateRequest>& requests,
       std::uint64_t deadline_micros = 0);
-  // Not idempotent: one attempt, no hedge. The returned Status is the
+  // Not idempotent: one attempt. The returned Status is the
   // remote build outcome (transport failures surface the same way).
   Status BuildControl(fleetwire::BuildOp op, const std::string& column,
                       std::uint64_t count = 0,
                       std::uint64_t deadline_micros = 0);
-  // Idempotent: retried and hedged.
+  // Idempotent: retried.
   Result<std::string> FetchMetricsJson(std::uint64_t deadline_micros = 0);
 
  private:
   struct PeerState;
-  struct Exchange;
 
-  std::uint64_t NowMicros() const;
   // Breaker admission for `peer` (closed or half-open probe allowed).
   bool BreakerAdmits(PeerState& peer) REQUIRES(mu_);
   void RecordBreakerSuccess(PeerState& peer) REQUIRES(mu_);
   void RecordBreakerFailure(PeerState& peer) REQUIRES(mu_);
-  // The hedge launch delay from the latency window.
-  std::uint64_t HedgeDelayMicros() REQUIRES(mu_);
-  void RecordLatency(std::uint64_t micros) REQUIRES(mu_);
 
-  // One macro-attempt: primary (+ optional hedge) against distinct
-  // peers, first success wins, every wait bounded by `deadline_abs`.
-  Result<std::vector<std::uint8_t>> HedgedAttempt(
-      std::span<const std::uint8_t> frame, bool idempotent,
-      std::uint64_t deadline_abs) EXCLUDES(mu_);
+  // One attempt: picks the next peer whose breaker admits it, runs one
+  // exchange on the caller's thread bounded by `deadline_abs`, and
+  // settles the peer's breaker with the outcome.
+  Result<std::vector<std::uint8_t>> Attempt(std::span<const std::uint8_t> frame,
+                                            std::uint64_t deadline_abs)
+      EXCLUDES(mu_);
   // One wire exchange against one peer (connect or reuse, round-trip,
   // pool or discard).
   Result<std::vector<std::uint8_t>> SingleExchange(std::size_t peer_index,
@@ -158,14 +137,6 @@ class TransportClient {
   std::vector<std::unique_ptr<PeerState>> peers_ GUARDED_BY(mu_);
   std::size_t next_peer_ GUARDED_BY(mu_) = 0;
   Rng jitter_rng_ GUARDED_BY(mu_);
-  std::vector<std::uint64_t> latency_window_ GUARDED_BY(mu_);
-  std::size_t latency_next_ GUARDED_BY(mu_) = 0;
-
-  // Runs hedged attempts so a hedge can finish while the primary is
-  // stuck. Sized 3 (= 2 workers + caller). Declared LAST: its destructor
-  // joins in-flight attempts while every member they touch is still
-  // alive.
-  std::unique_ptr<ThreadPool> hedge_pool_;
 };
 
 }  // namespace equihist::transport

@@ -1,9 +1,12 @@
 #include "core/compiled_estimator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include "data/distribution.h"
 #include "data/value_set.h"
 #include "data/workload.h"
+#include "stats/histogram_model.h"
 
 namespace equihist {
 namespace {
@@ -80,13 +84,11 @@ Histogram RandomHistogram(Rng& rng, std::uint64_t k, Value lower, Value upper,
 }
 
 // A query generator that mixes in-domain, boundary-aligned, out-of-domain,
-// empty and reversed ranges.
-RangeQuery RandomQuery(Rng& rng, const Histogram& histogram) {
-  const Value lf = histogram.lower_fence();
-  const Value uf = histogram.upper_fence();
+// empty and reversed ranges over the domain [lf, uf] with separators `seps`.
+RangeQuery RandomQuery(Rng& rng, Value lf, Value uf,
+                       const std::vector<Value>& seps) {
   switch (rng.NextInRange(0, 5)) {
     case 0: {  // separator-aligned: exact agreement expected
-      const auto& seps = histogram.separators();
       if (!seps.empty()) {
         const Value a = seps[static_cast<std::size_t>(
             rng.NextInRange(0, static_cast<std::int64_t>(seps.size()) - 1))];
@@ -115,6 +117,53 @@ RangeQuery RandomQuery(Rng& rng, const Histogram& histogram) {
       const Value b = rng.NextInRange(lf, uf);
       return {std::min(a, b), std::max(a, b)};
     }
+  }
+}
+
+RangeQuery RandomQuery(Rng& rng, const Histogram& histogram) {
+  return RandomQuery(rng, histogram.lower_fence(), histogram.upper_fence(),
+                     histogram.separators());
+}
+
+std::vector<RangeQuery> MakeQueries(Rng& rng, const Histogram& histogram,
+                                    std::size_t n) {
+  std::vector<RangeQuery> queries;
+  queries.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    queries.push_back(RandomQuery(rng, histogram));
+  }
+  return queries;
+}
+
+// Bit-level comparison: catches sign-of-zero and NaN-payload divergence
+// that operator== would wave through.
+::testing::AssertionResult BitEqual(double a, double b) {
+  if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << a << " (0x" << std::hex << std::bit_cast<std::uint64_t>(a)
+         << ") != " << std::dec << b << " (0x" << std::hex
+         << std::bit_cast<std::uint64_t>(b) << ")";
+}
+
+// Every call shape, one bit pattern: the sequential batch and the
+// pool-sharded batch both equal the single-query estimate.
+void ExpectBatchAndPoolBitwiseIdentical(const CompiledEstimator& compiled,
+                                        std::span<const RangeQuery> queries,
+                                        ThreadPool* pool) {
+  const std::size_t n = queries.size();
+  std::vector<double> batch(n), sharded(n);
+  compiled.EstimateRangeCounts(queries, batch, nullptr);
+  compiled.EstimateRangeCounts(queries, sharded, pool);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double single = compiled.EstimateRangeCount(queries[i]);
+    ASSERT_TRUE(BitEqual(batch[i], single))
+        << "batch vs single-query at " << i << " query (" << queries[i].lo
+        << ", " << queries[i].hi << "]";
+    ASSERT_TRUE(BitEqual(sharded[i], single))
+        << "pool-sharded vs single-query at " << i << " query ("
+        << queries[i].lo << ", " << queries[i].hi << "]";
   }
 }
 
@@ -321,6 +370,134 @@ TEST(CompiledEstimatorTest, SmallBatchSkipsThePool) {
   EXPECT_DOUBLE_EQ(out[0], 5.0);
   EXPECT_DOUBLE_EQ(out[1], 5.0);
   EXPECT_DOUBLE_EQ(out[2], 10.0);
+}
+
+TEST(CompiledEstimatorTest, BatchAndPoolBitwiseIdenticalOnRandomHistograms) {
+  Rng rng(20260808);
+  ThreadPool pool(4);
+  for (int trial = 0; trial < 40; ++trial) {
+    // Log-spread k up to 10000 so small and large separator arrays are
+    // both exercised.
+    const double log_k = rng.NextDouble() * 4.0;  // 10^0 .. 10^4
+    const std::uint64_t k = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(std::pow(10.0, log_k)));
+    const Value lower = rng.NextInRange(-1000000, 999999);
+    const Value upper = rng.NextInRange(lower + 1, 1000000);
+    const double dup_prob = (trial % 3 == 0) ? 0.4 : 0.0;
+    const Histogram histogram =
+        RandomHistogram(rng, k, lower, upper, dup_prob);
+    const CompiledEstimator compiled(histogram);
+    // 600 queries crosses the pool-sharding threshold, so the sharded run
+    // genuinely fans out.
+    const std::vector<RangeQuery> queries = MakeQueries(rng, histogram, 600);
+    ExpectBatchAndPoolBitwiseIdentical(compiled, queries, &pool);
+  }
+}
+
+TEST(CompiledEstimatorTest, BatchAndPoolBitwiseIdenticalWithExtremeFences) {
+  Rng rng(71);
+  ThreadPool pool(3);
+  // Fences at the int64 extremes: bucket widths beyond 2^63 exercise the
+  // unsigned-wraparound distance and the exact u64->f64 conversion.
+  for (const auto& [lower, upper] :
+       std::vector<std::pair<Value, Value>>{{kValueMin, kValueMax},
+                                            {kValueMin, kValueMin + 2},
+                                            {kValueMax - 2, kValueMax},
+                                            {-1, 1}}) {
+    for (const std::uint64_t k : {std::uint64_t{1}, std::uint64_t{2},
+                                  std::uint64_t{17}, std::uint64_t{257}}) {
+      const std::uint64_t usable = std::min<std::uint64_t>(
+          k, static_cast<std::uint64_t>(ValueDistance(lower, upper)) + 1);
+      const Histogram histogram =
+          RandomHistogram(rng, usable, lower, upper, 0.25);
+      const CompiledEstimator compiled(histogram);
+      const std::vector<RangeQuery> queries =
+          MakeQueries(rng, histogram, 640);
+      ExpectBatchAndPoolBitwiseIdentical(compiled, queries, &pool);
+    }
+  }
+}
+
+TEST(CompiledEstimatorTest, BatchAndPoolBitwiseIdenticalOnDegenerateShapes) {
+  ThreadPool pool(2);
+  Rng rng(9001);
+  // 640 queries per shape: past the pool-sharding threshold.
+  constexpr std::size_t kQueries = 640;
+  // Single bucket: no separators at all, a zero-length search.
+  {
+    const Histogram histogram =
+        Histogram::Create({}, {5}, -10, 10).value();
+    const CompiledEstimator compiled(histogram);
+    const std::vector<RangeQuery> queries =
+        MakeQueries(rng, histogram, kQueries);
+    ExpectBatchAndPoolBitwiseIdentical(compiled, queries, &pool);
+  }
+  // All separators duplicated at one value: one giant spike run.
+  {
+    const Histogram histogram =
+        Histogram::Create({0, 0, 0, 0, 0, 0, 0}, {1, 9, 9, 9, 9, 9, 9, 3},
+                          -100, 100)
+            .value();
+    const CompiledEstimator compiled(histogram);
+    const std::vector<RangeQuery> queries =
+        MakeQueries(rng, histogram, kQueries);
+    ExpectBatchAndPoolBitwiseIdentical(compiled, queries, &pool);
+  }
+  // Minimal domain: every bucket is a spike or width-1.
+  {
+    const Histogram histogram =
+        Histogram::Create({1, 1, 2}, {4, 7, 0, 2}, 0, 2).value();
+    const CompiledEstimator compiled(histogram);
+    const std::vector<RangeQuery> queries =
+        MakeQueries(rng, histogram, kQueries);
+    ExpectBatchAndPoolBitwiseIdentical(compiled, queries, &pool);
+  }
+  // Zero-mass buckets everywhere except one.
+  {
+    const Histogram histogram =
+        Histogram::Create({10, 20, 30}, {0, 0, 11, 0}, 0, 40).value();
+    const CompiledEstimator compiled(histogram);
+    const std::vector<RangeQuery> queries =
+        MakeQueries(rng, histogram, kQueries);
+    ExpectBatchAndPoolBitwiseIdentical(compiled, queries, &pool);
+  }
+}
+
+// Every registered backend (built-ins and whatever else the process added)
+// honours the batch contract bitwise: EstimateRangeCounts over any pool
+// equals the per-query loop.
+TEST(CompiledEstimatorTest, AllBackendsBatchBitwiseEqualsLoop) {
+  Rng rng(1337);
+  ThreadPool pool(3);
+  std::vector<Value> sample;
+  for (int i = 0; i < 4000; ++i) {
+    sample.push_back(rng.NextInRange(-100000, 100000));
+  }
+  // A heavy duplicated run so the compressed backend has a singleton.
+  for (int i = 0; i < 800; ++i) sample.push_back(777);
+  std::sort(sample.begin(), sample.end());
+
+  for (const HistogramBackendId id : HistogramBackendRegistry::Global().Ids()) {
+    const auto backend = HistogramBackendRegistry::Global().Find(id).value();
+    const auto built = backend.build_from_sample(sample, 50, 48000);
+    ASSERT_TRUE(built.ok()) << backend.name << ": " << built.status();
+    const HistogramModelPtr model = built.value();
+    std::vector<RangeQuery> queries;
+    for (int i = 0; i < 600; ++i) {
+      queries.push_back(RandomQuery(rng, model->lower_fence(),
+                                    model->upper_fence(), {}));
+    }
+    std::vector<double> batch(queries.size()), pooled(queries.size());
+    model->EstimateRangeCounts(queries, batch, nullptr);
+    model->EstimateRangeCounts(queries, pooled, &pool);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const double single = model->EstimateRangeCount(queries[i]);
+      ASSERT_TRUE(BitEqual(batch[i], single))
+          << backend.name << " batch vs loop at " << i;
+      ASSERT_TRUE(BitEqual(pooled[i], single))
+          << backend.name << " pooled batch vs loop at " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -36,6 +36,15 @@ struct OrderLog {
   }
 };
 
+// `prefix` followed by the decimal `i`, built with append: GCC 12's
+// -Wrestrict misfires on an inlined "literal" + std::to_string(i) in
+// optimized builds (GCC bug 105329), which -Werror turns into a failure.
+std::string Key(const char* prefix, int i) {
+  std::string key(prefix);
+  key.append(std::to_string(i));
+  return key;
+}
+
 BuildScheduler::Options Inline() {
   return {.max_inflight = 1, .threads = 1, .start_paused = true};
 }
@@ -114,7 +123,7 @@ TEST(BuildSchedulerTest, MaxInflightBoundsConcurrencyUnderAPool) {
     BuildScheduler scheduler({.max_inflight = 2, .threads = 4});
     for (int i = 0; i < 12; ++i) {
       scheduler.Enqueue(
-          {"t", "c" + std::to_string(i), ColumnHealth::kStale, 0.0,
+          {"t", Key("c", i), ColumnHealth::kStale, 0.0,
            [&running, &high_water, &completed]() {
              const int now = running.fetch_add(1) + 1;
              int seen = high_water.load();
@@ -161,7 +170,7 @@ TEST(BuildSchedulerTest, DestructorDiscardsQueuedWorkButFinishesInflight) {
     BuildScheduler scheduler(
         {.max_inflight = 1, .threads = 1, .start_paused = true});
     for (int i = 0; i < 5; ++i) {
-      scheduler.Enqueue({"t", "c" + std::to_string(i), ColumnHealth::kFresh,
+      scheduler.Enqueue({"t", Key("c", i), ColumnHealth::kFresh,
                          0.0, [&ran]() {
                            ran.fetch_add(1);
                            return Status::OK();
@@ -184,8 +193,7 @@ TEST(BuildSchedulerTest, ConcurrentEnqueuersAllGetServed) {
       for (int i = 0; i < kPerThread; ++i) {
         // Distinct (table, column) keys so nothing coalesces: every
         // request must execute exactly once.
-        scheduler.Enqueue({"t" + std::to_string(t),
-                           "c" + std::to_string(i),
+        scheduler.Enqueue({Key("t", t), Key("c", i),
                            static_cast<ColumnHealth>(i % 3), 0.01 * i,
                            [&ran]() {
                              ran.fetch_add(1);

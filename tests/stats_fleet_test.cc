@@ -1,19 +1,22 @@
 // StatisticsFleet tests (DESIGN.md §16): shard routing, the cross-shard
-// batch front-end and its group-commit coalescer, bitwise identity with a
+// batch front-end and its concurrent use, bitwise identity with a
 // single StatisticsManager, the fleetwire frame protocol (round-trips and
 // the byte-level corruption matrix), ServeFrame dispatch, and the metrics
 // plane. The concurrency cases run under TSan in CI (label `fleet`).
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -98,25 +101,22 @@ TEST(StatisticsFleetTest, FleetMatchesSingleManagerBitwise) {
   ASSERT_TRUE(manager.EstimateBatch(table, requests, &expected).ok());
 
   for (const std::uint64_t shards : {1u, 3u, 4u, 7u}) {
-    for (const bool coalesce : {false, true}) {
-      StatisticsFleet fleet(
-          {.shards = shards, .shard = ShardOptions(), .coalesce = coalesce});
-      ASSERT_TRUE(fleet.BuildAll(columns, table).ok());
-      BatchEstimateResult got;
-      ASSERT_TRUE(fleet.EstimateBatch(table, requests, &got).ok());
-      ASSERT_EQ(got.estimates.size(), expected.estimates.size());
-      for (std::size_t i = 0; i < expected.estimates.size(); ++i) {
-        // Bitwise: build seeds depend only on (seed, column, generation),
-        // never on shard placement.
-        EXPECT_EQ(got.estimates[i], expected.estimates[i])
-            << "shards=" << shards << " coalesce=" << coalesce << " i=" << i;
-      }
-      // Scalar path agrees too.
-      for (const std::string& column : columns) {
-        const RangeQuery query{0, static_cast<Value>(table.tuple_count())};
-        EXPECT_EQ(*fleet.EstimateRange(column, table, query),
-                  *manager.EstimateRange(column, table, query));
-      }
+    StatisticsFleet fleet({.shards = shards, .shard = ShardOptions()});
+    ASSERT_TRUE(fleet.BuildAll(columns, table).ok());
+    BatchEstimateResult got;
+    ASSERT_TRUE(fleet.EstimateBatch(table, requests, &got).ok());
+    ASSERT_EQ(got.estimates.size(), expected.estimates.size());
+    for (std::size_t i = 0; i < expected.estimates.size(); ++i) {
+      // Bitwise: build seeds depend only on (seed, column, generation),
+      // never on shard placement.
+      EXPECT_EQ(got.estimates[i], expected.estimates[i])
+          << "shards=" << shards << " i=" << i;
+    }
+    // Scalar path agrees too.
+    for (const std::string& column : columns) {
+      const RangeQuery query{0, static_cast<Value>(table.tuple_count())};
+      EXPECT_EQ(*fleet.EstimateRange(column, table, query),
+                *manager.EstimateRange(column, table, query));
     }
   }
 }
@@ -190,9 +190,9 @@ TEST(StatisticsFleetTest, NeverBuiltColumnsBuildOnFirstBatch) {
   EXPECT_EQ(fleet.size(), columns.size());
 }
 
-// -- Coalescer ---------------------------------------------------------------
+// -- Concurrent serving ------------------------------------------------------
 
-TEST(StatisticsFleetTest, ConcurrentBatchesThroughCoalescerStayCorrect) {
+TEST(StatisticsFleetTest, ConcurrentPartitionedBatchesStayCorrect) {
   Table table = SmallTable();
   const auto columns = Columns(6);
   StatisticsFleet fleet({.shards = 2, .shard = ShardOptions()});
@@ -209,8 +209,8 @@ TEST(StatisticsFleetTest, ConcurrentBatchesThroughCoalescerStayCorrect) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t]() {
-      // Each thread's batch starts at a different column rotation so
-      // coalesced waves genuinely mix distinct requests.
+      // Each thread's batch starts at a different column rotation so the
+      // concurrent partitioned calls carry distinct requests.
       std::vector<std::string> rotated(columns.begin() + t % columns.size(),
                                        columns.end());
       rotated.insert(rotated.end(), columns.begin(),
@@ -232,10 +232,13 @@ TEST(StatisticsFleetTest, ConcurrentBatchesThroughCoalescerStayCorrect) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  // Every query was served (coalesced or not — scheduling-dependent).
+  // Every query was served.
   EXPECT_GE(fleet.fleet_metrics().counter(metrics::Counter::kEstimateQueries),
             static_cast<std::uint64_t>(kThreads) * kRounds *
                 columns.size() * 3);
+  // Nothing coalesces: the counter perfbench reads stays at 0.
+  EXPECT_EQ(
+      fleet.fleet_metrics().counter(metrics::Counter::kCoalescedRequests), 0u);
 }
 
 // -- Wire protocol -----------------------------------------------------------
@@ -542,12 +545,33 @@ TEST(StatisticsFleetTest, ServeFrameRejectsGarbageAndResponseFrames) {
 
 TEST(MetricsPlaneTest, BucketsCountersAndJsonShape) {
   metrics::MetricsPlane plane;
-  EXPECT_EQ(metrics::MetricsPlane::BucketOf(0), 0u);
-  EXPECT_EQ(metrics::MetricsPlane::BucketOf(1), 0u);
-  EXPECT_EQ(metrics::MetricsPlane::BucketOf(2), 1u);
-  EXPECT_EQ(metrics::MetricsPlane::BucketOf(3), 2u);
   EXPECT_EQ(metrics::MetricsPlane::BucketOf(1'000'000'000),
             metrics::kHistBuckets - 1);
+  // Boundary table against the documented rule: bucket i counts
+  // (2^(i-1), 2^i]; bucket 0 also takes 0, and the last bucket is the
+  // overflow for everything above 2^(kHistBuckets - 2).
+  constexpr std::size_t kLast = metrics::kHistBuckets - 1;
+  const auto rule = [](std::uint64_t value) -> std::size_t {
+    for (std::size_t i = 0; i < kLast; ++i) {
+      if (value <= metrics::MetricsPlane::BucketUpperBound(i)) return i;
+    }
+    return kLast;
+  };
+  std::vector<std::pair<std::uint64_t, std::size_t>> boundaries = {
+      {0, 0}, {1, 0}, {2, 1}, {3, 2},
+      {(std::uint64_t{1} << 18) + 1, kLast},
+      {std::numeric_limits<std::uint64_t>::max(), kLast}};
+  for (std::size_t b = 0; b < 64; ++b) {
+    const std::uint64_t power = std::uint64_t{1} << b;
+    boundaries.emplace_back(power, std::min(b, kLast));
+    boundaries.emplace_back(power + 1, std::min(b + 1, kLast));
+  }
+  for (const auto& [value, bucket] : boundaries) {
+    EXPECT_EQ(metrics::MetricsPlane::BucketOf(value), bucket)
+        << "value " << value;
+    EXPECT_EQ(metrics::MetricsPlane::BucketOf(value), rule(value))
+        << "value " << value;
+  }
 
   plane.Increment(metrics::Counter::kEstimateQueries, 5);
   plane.GaugeSet(metrics::Gauge::kQueueDepth, 7);

@@ -159,7 +159,7 @@ int DriveCalls(TransportClient& client,
     } else {
       ExpectTypedOutcome(estimates.status(), context);
     }
-    // Build-control rides the same link without retries or hedges.
+    // Build-control rides the same link without retries.
     const Status build = client.BuildControl(fleetwire::BuildOp::kEnsureFresh,
                                              "t.a", 0, 400'000);
     ExpectTypedOutcome(build, context);

@@ -1,10 +1,9 @@
 // Fleet transport tests (DESIGN.md §17): bitwise parity of the in-process
 // and socket paths with ServeFrame, the envelope checksum, server-side
 // load shedding with typed kResourceExhausted rejections, client retries
-// with jittered backoff, per-peer circuit breakers, hedged reads, deadline
-// propagation (a slow server handler costs no retry), and the bounded
-// coalescer follower wait. Runs under TSan and ASan/UBSan in CI (label
-// `transport`).
+// with jittered backoff, per-peer circuit breakers, and deadline
+// propagation (a slow server handler costs no retry). Runs under TSan and
+// ASan/UBSan in CI (label `transport`).
 
 #include <unistd.h>
 
@@ -26,7 +25,6 @@
 #include "common/status.h"
 #include "data/distribution.h"
 #include "stats/fleet_wire.h"
-#include "stats/histogram_model.h"
 #include "stats/link_fault_injection.h"
 #include "stats/statistics_fleet.h"
 #include "stats/transport.h"
@@ -279,32 +277,22 @@ TEST(TransportTest, OverloadedServerShedsWithTypedRejection) {
 // -- Client resilience over fake transports -----------------------------------
 
 // A scriptable Transport: returns the queued results in order, repeating
-// the last one; counts round-trips; optional per-call stall.
+// the last one; counts round-trips.
 class FakeTransport final : public Transport {
  public:
   explicit FakeTransport(std::vector<Result<std::vector<std::uint8_t>>> script,
-                         std::uint64_t stall_micros = 0,
                          std::atomic<int>* calls = nullptr)
-      : script_(std::move(script)), stall_micros_(stall_micros),
-        calls_(calls) {}
+      : script_(std::move(script)), calls_(calls) {}
 
-  Result<std::vector<std::uint8_t>> RoundTrip(
-      std::span<const std::uint8_t>, std::uint64_t budget_micros) override {
+  Result<std::vector<std::uint8_t>> RoundTrip(std::span<const std::uint8_t>,
+                                              std::uint64_t) override {
     if (calls_ != nullptr) calls_->fetch_add(1);
-    if (stall_micros_ > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(std::min(stall_micros_, budget_micros)));
-      if (stall_micros_ >= budget_micros) {
-        return Status::DeadlineExceeded("transport budget exhausted");
-      }
-    }
     const std::size_t index = std::min(next_++, script_.size() - 1);
     return script_[index];
   }
 
  private:
   std::vector<Result<std::vector<std::uint8_t>>> script_;
-  std::uint64_t stall_micros_;
   std::atomic<int>* calls_;
   std::size_t next_ = 0;
 };
@@ -421,7 +409,7 @@ TEST(TransportClientTest, BreakerOpensFastFailsAndRecovers) {
       std::vector<Result<std::vector<std::uint8_t>>>{
           Status::Unavailable("peer down"), Status::Unavailable("peer down"),
           Status::Unavailable("peer down"), MetricsReply("recovered")},
-      /*stall_micros=*/0, &calls);
+      &calls);
   std::uint64_t now = 1'000'000;
   TransportClient::Options options;
   options.retry = {.max_attempts = 1};  // isolate the breaker
@@ -454,32 +442,6 @@ TEST(TransportClientTest, BreakerOpensFastFailsAndRecovers) {
   const auto again = client.Call(frame, true, 100'000);
   EXPECT_TRUE(again.ok());
   EXPECT_EQ(plane.counter(metrics::Counter::kTransportBreakerOpens), 1u);
-}
-
-TEST(TransportClientTest, HedgedReadOvertakesStalledPrimary) {
-  metrics::MetricsPlane plane;
-  auto slow = std::make_shared<FakeTransport>(
-      std::vector<Result<std::vector<std::uint8_t>>>{MetricsReply("slow")},
-      /*stall_micros=*/250'000);
-  auto fast = std::make_shared<FakeTransport>(
-      std::vector<Result<std::vector<std::uint8_t>>>{MetricsReply("fast")});
-  TransportClient::Options options;
-  options.retry = {.max_attempts = 1};
-  options.enable_hedging = true;
-  options.hedge_initial_delay_micros = 20'000;
-  options.metrics = &plane;
-  TransportClient client(options);
-  client.AddPeer(SharedPeer("slow", slow));
-  client.AddPeer(SharedPeer("fast", fast));
-
-  const auto reply = client.Call(fleetwire::EncodeMetricsRequest(),
-                                 /*idempotent=*/true, 2'000'000);
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  const auto decoded = fleetwire::DecodeMetricsResponse(*reply);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->json, "fast");  // the hedge won
-  EXPECT_EQ(plane.counter(metrics::Counter::kTransportHedges), 1u);
-  EXPECT_EQ(plane.counter(metrics::Counter::kTransportHedgeWins), 1u);
 }
 
 // -- Deadline propagation (satellite): slow handler costs no retry ------------
@@ -603,121 +565,6 @@ TEST(TransportTest, ServerDropsWorkWhoseDeadlineExpiredInQueue) {
     EXPECT_EQ(reply.status().code(), StatusCode::kDeadlineExceeded);
   }
   EXPECT_EQ(plane.counter(metrics::Counter::kServerExpiredDrops), 1u);
-}
-
-// -- Bounded coalescer follower wait (satellite) ------------------------------
-
-// A backend whose build blocks on a test-controlled gate: lets the test
-// wedge a coalescer leader mid-wave at an exact point (same pattern as the
-// mid-build hook in stats_test.cc; external id from the >= 128 range).
-constexpr auto kGatedBackendId = static_cast<HistogramBackendId>(202);
-
-std::atomic<bool>& GateEntered() {
-  static std::atomic<bool> entered{false};
-  return entered;
-}
-std::atomic<bool>& GateReleased() {
-  static std::atomic<bool> released{false};
-  return released;
-}
-
-class GatedModel final : public HistogramModel {
- public:
-  GatedModel(std::uint64_t total, Value lo, Value hi)
-      : total_(total), lo_(lo), hi_(hi) {}
-  HistogramBackendId backend_id() const override { return kGatedBackendId; }
-  double EstimateRangeCount(const RangeQuery& query) const override {
-    return (query.hi > lo_ && query.lo < hi_) ? static_cast<double>(total_)
-                                              : 0.0;
-  }
-  std::uint64_t bucket_count() const override { return 1; }
-  std::uint64_t total() const override { return total_; }
-  Value lower_fence() const override { return lo_; }
-  Value upper_fence() const override { return hi_; }
-  std::size_t MemoryBytes() const override { return sizeof(*this); }
-  std::string Describe() const override { return "Gated"; }
-  void SerializePayload(std::vector<std::uint8_t>*) const override {}
-
- private:
-  std::uint64_t total_;
-  Value lo_;
-  Value hi_;
-};
-
-void RegisterGatedBackendOnce() {
-  static const bool registered = [] {
-    HistogramBackendRegistry::Backend backend;
-    backend.name = "gated";
-    backend.build_from_sample =
-        [](std::span<const Value> sample, std::uint64_t,
-           std::uint64_t population_size) -> Result<HistogramModelPtr> {
-      if (sample.empty()) {
-        return Status::InvalidArgument("gated backend needs a sample");
-      }
-      GateEntered().store(true);
-      while (!GateReleased().load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      return HistogramModelPtr(std::make_shared<GatedModel>(
-          population_size, sample.front() - 1, sample.back()));
-    };
-    backend.deserialize_payload =
-        [](std::span<const std::uint8_t>,
-           std::size_t* consumed) -> Result<HistogramModelPtr> {
-      *consumed = 0;
-      return HistogramModelPtr(std::make_shared<GatedModel>(0, 0, 1));
-    };
-    const Status status = HistogramBackendRegistry::Global().Register(
-        kGatedBackendId, std::move(backend));
-    EXPECT_TRUE(status.ok()) << status.ToString();
-    return true;
-  }();
-  (void)registered;
-}
-
-TEST(BatchCoalescerTest, FollowerTimesOutWhenLeaderWedges) {
-  RegisterGatedBackendOnce();
-  GateEntered().store(false);
-  GateReleased().store(false);
-
-  Table table = SmallTable();
-  StatisticsFleet::Options options;
-  options.shards = 1;
-  options.shard = {.buckets = 32, .f = 0.25, .seed = 17, .threads = 1};
-  options.shard.column_backends["t.w"] = kGatedBackendId;
-  options.coalesce = true;
-  options.coalesce_wait_micros = 50'000;  // followers give up after 50ms
-  StatisticsFleet fleet(options);
-
-  const std::vector<BatchEstimateRequest> requests{
-      {"t.w", {0, static_cast<Value>(table.tuple_count())}}};
-
-  // Leader: first submitter; its wave wedges inside the gated build.
-  Status leader_status = Status::Internal("unset");
-  std::thread leader([&] {
-    BatchEstimateResult result;
-    leader_status = fleet.EstimateBatch(table, requests, &result);
-  });
-  while (!GateEntered().load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  // Follower: sees leader_active_, waits its bound, abandons with a typed
-  // kDeadlineExceeded instead of hanging on the wedged leader.
-  const auto start = std::chrono::steady_clock::now();
-  BatchEstimateResult follower_result;
-  const Status follower_status =
-      fleet.EstimateBatch(table, requests, &follower_result);
-  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - start);
-  EXPECT_EQ(follower_status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_GE(waited.count(), 45);
-  EXPECT_LT(waited.count(), 5'000);  // bounded, not wedged
-
-  // Unwedge: the leader completes normally, unharmed by the abandonment.
-  GateReleased().store(true);
-  leader.join();
-  EXPECT_TRUE(leader_status.ok()) << leader_status.ToString();
 }
 
 }  // namespace

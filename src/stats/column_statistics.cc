@@ -63,6 +63,28 @@ Result<double> EstimateDistinct(std::span<const Value> sorted, bool sampled,
   return static_cast<double>(distinct);
 }
 
+// The sample-derived fields every sample-driven build fills the same way
+// from `sorted`, its sorted sample (or full scan) of a column of `n`
+// rows: density, distinct estimate, heavy hitters scaled up to `n`, and
+// the provenance of the build.
+Result<ColumnStatistics> StatisticsFromSortedSample(
+    HistogramModelPtr model, std::span<const Value> sorted, bool sampled,
+    std::uint64_t n, std::uint64_t buckets, const IoStats& io) {
+  ColumnStatistics stats;
+  stats.model = std::move(model);
+  stats.density = ComputeDensity(sorted);
+  EQUIHIST_ASSIGN_OR_RETURN(stats.distinct_estimate,
+                            EstimateDistinct(sorted, sampled, n));
+  stats.row_count = n;
+  stats.from_full_scan = !sampled;
+  stats.sample_size = sorted.size();
+  stats.build_cost = io;
+  const double scale =
+      static_cast<double>(n) / static_cast<double>(sorted.size());
+  stats.heavy_hitters = CollectHeavyHitters(sorted, buckets, scale);
+  return stats;
+}
+
 // The incremental-equi-depth build (DESIGN.md §15): a paper-§4 block
 // sample sized for both the Theorem 4 budget and the reservoir capacity
 // seeds a BackingReservoir; the published histogram is built from exactly
@@ -120,21 +142,9 @@ Result<ColumnStatistics> BuildIncrementalStatistics(
       HistogramModelPtr model,
       MakeIncrementalModelFromReservoir(std::move(reservoir),
                                         options.buckets));
-
-  const double scale =
-      static_cast<double>(n) / static_cast<double>(values.size());
-  ColumnStatistics stats;
-  stats.model = std::move(model);
-  stats.density = ComputeDensity(values);
-  EQUIHIST_ASSIGN_OR_RETURN(
-      stats.distinct_estimate,
-      EstimateDistinct(values, options.prefer_sampling, n));
-  stats.row_count = n;
-  stats.from_full_scan = !options.prefer_sampling;
-  stats.sample_size = values.size();
-  stats.build_cost = io;
-  stats.heavy_hitters = CollectHeavyHitters(values, options.buckets, scale);
-  return stats;
+  return StatisticsFromSortedSample(std::move(model), values,
+                                    options.prefer_sampling, n,
+                                    options.buckets, io);
 }
 
 }  // namespace
@@ -328,32 +338,9 @@ Result<ColumnStatistics> BuildStatisticsWithBackend(
   EQUIHIST_ASSIGN_OR_RETURN(HistogramModelPtr model,
                             backend.build_from_sample(values, options.buckets,
                                                       n));
-  const double scale =
-      static_cast<double>(n) / static_cast<double>(values.size());
-
-  ColumnStatistics stats;
-  stats.model = std::move(model);
-  stats.density = ComputeDensity(values);
-  if (options.prefer_sampling) {
-    EQUIHIST_ASSIGN_OR_RETURN(
-        stats.distinct_estimate,
-        PaperEstimator(FrequencyProfile::FromSorted(values), n));
-  } else {
-    std::uint64_t distinct = 0;
-    for (std::size_t i = 0; i < values.size();) {
-      std::size_t j = i;
-      while (j < values.size() && values[j] == values[i]) ++j;
-      ++distinct;
-      i = j;
-    }
-    stats.distinct_estimate = static_cast<double>(distinct);
-  }
-  stats.row_count = n;
-  stats.from_full_scan = !options.prefer_sampling;
-  stats.sample_size = values.size();
-  stats.build_cost = io;
-  stats.heavy_hitters = CollectHeavyHitters(values, options.buckets, scale);
-  return stats;
+  return StatisticsFromSortedSample(std::move(model), values,
+                                    options.prefer_sampling, n,
+                                    options.buckets, io);
 }
 
 Result<ColumnStatistics> MakeIncrementalStatistics(const Histogram& histogram,
@@ -362,26 +349,15 @@ Result<ColumnStatistics> MakeIncrementalStatistics(const Histogram& histogram,
     return Status::FailedPrecondition(
         "cannot assemble statistics from an empty reservoir");
   }
-  const std::uint64_t n = histogram.total();
   const std::vector<Value> sorted = reservoir.SortedSample();
-  const double scale =
-      static_cast<double>(n) / static_cast<double>(sorted.size());
-
-  ColumnStatistics stats;
-  stats.density = ComputeDensity(sorted);
   // The reservoir is a uniform without-replacement sample of the live
-  // column, so the paper's sampled estimator applies.
-  EQUIHIST_ASSIGN_OR_RETURN(stats.distinct_estimate,
-                            EstimateDistinct(sorted, /*sampled=*/true, n));
-  stats.row_count = n;
-  stats.from_full_scan = false;
-  stats.sample_size = sorted.size();
-  stats.build_cost = IoStats{};  // the whole point: zero storage I/O
-  stats.heavy_hitters =
-      CollectHeavyHitters(sorted, histogram.bucket_count(), scale);
-  stats.model = std::make_shared<IncrementalEquiDepthModel>(
-      histogram, std::move(reservoir));
-  return stats;
+  // column, so the paper's sampled estimator applies; the build cost is
+  // zero storage I/O, the whole point of the path.
+  return StatisticsFromSortedSample(
+      std::make_shared<IncrementalEquiDepthModel>(histogram,
+                                                  std::move(reservoir)),
+      sorted, /*sampled=*/true, histogram.total(), histogram.bucket_count(),
+      IoStats{});
 }
 
 }  // namespace equihist

@@ -22,11 +22,13 @@ namespace equihist {
 
 // The backend-polymorphic statistics layer: every histogram family the
 // system can serve — plain equi-height, duplicate-compressed (Section 5),
-// the equi-width baseline, the GMP incremental baseline (Section 3.4), and
-// anything registered from outside — implements this one interface, and
+// the equi-width baseline, the GMP incremental baseline (Section 3.4), the
+// uniform fallback of degraded serving, the reservoir-backed incremental
+// equi-depth histogram, and anything registered from outside — implements
+// this one interface, and
 // every consumer (ColumnStatistics, StatisticsManager, the planner,
 // workload evaluation, serialization framing) talks only to it. Adding a
-// fifth family means registering a backend; no consumer changes.
+// seventh family means registering a backend; no consumer changes.
 
 // Identifies a histogram family in the registry and on the wire (the one
 // tag byte of the serialized container, format version 2).
@@ -90,7 +92,7 @@ class HistogramModel {
 
 using HistogramModelPtr = std::shared_ptr<const HistogramModel>;
 
-// The process-wide backend registry, keyed by HistogramBackendId. The four
+// The process-wide backend registry, keyed by HistogramBackendId. The six
 // built-in families are registered on first use; external code may register
 // additional backends at any time (thread-safe) and they immediately become
 // buildable through StatisticsManager and round-trippable through

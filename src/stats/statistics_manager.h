@@ -13,7 +13,7 @@ namespace equihist {
 //
 // New multi-shard deployments should hold a StatisticsFleet
 // (stats/statistics_fleet.h), which hash-partitions columns across many
-// shards and adds the coalescing batch front-end, the async
+// shards and adds shard-partitioned batch routing, the async
 // BuildScheduler, and the wire protocol on top of the same shard type.
 class StatisticsManager : public StatisticsShard {
  public:

@@ -1,7 +1,6 @@
 #include "stats/statistics_shard.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/rng.h"
@@ -63,14 +62,6 @@ std::uint64_t HashColumnName(const std::string& column) {
 StatisticsShard::StatisticsShard(const Options& options)
     : options_(options), shard_id_(NextShardId()) {}
 
-std::uint64_t StatisticsShard::NowMicros() const {
-  if (options_.clock) return options_.clock();
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 ThreadPool* StatisticsShard::pool() {
   std::call_once(pool_once_, [this]() {
     // Clamped to the core count: builds are CPU-bound and fan-out past the
@@ -103,13 +94,16 @@ Result<ColumnStatistics> StatisticsShard::Build(const std::string& column,
   return BuildStatisticsWithBackend(table, build, build_pool);
 }
 
+std::shared_ptr<StatisticsShard::Entry> StatisticsShard::FindEntry(
+    const std::string& column) const {
+  ReaderMutexLock lock(mu_);
+  const auto it = entries_.find(column);
+  return it == entries_.end() ? nullptr : it->second;
+}
+
 std::shared_ptr<StatisticsShard::Entry> StatisticsShard::GetEntry(
     const std::string& column) {
-  {
-    ReaderMutexLock lock(mu_);
-    const auto it = entries_.find(column);
-    if (it != entries_.end()) return it->second;
-  }
+  if (std::shared_ptr<Entry> entry = FindEntry(column)) return entry;
   WriterMutexLock lock(mu_);
   auto [it, inserted] = entries_.try_emplace(column);
   if (inserted) it->second = std::make_shared<Entry>(&mu_);
@@ -126,6 +120,45 @@ bool StatisticsShard::IsStaleLocked(const Entry& entry) const {
   return modified_fraction > options_.staleness_threshold;
 }
 
+bool StatisticsShard::SatisfiesLocked(const Entry& entry,
+                                      bool require_fresh) const {
+  // A fallback snapshot satisfies neither: the caller falls through to a
+  // real build (the breaker inside BuildAndPublish rate-limits it).
+  return entry.stats != nullptr && !entry.serving_fallback &&
+         (!require_fresh || !IsStaleLocked(entry));
+}
+
+void StatisticsShard::Publish(Entry* entry,
+                              std::shared_ptr<const ColumnStatistics> snapshot,
+                              std::uint64_t modifications_at_capture,
+                              bool fallback) {
+  WriterMutexLock lock(mu_);
+  entry->AssertWriterHeld();
+  total_build_cost_ += snapshot->build_cost;
+  entry->stats = std::move(snapshot);
+  entry->serving_fallback = fallback;
+  if (!fallback) {
+    // Every publisher holds build_mu, so this is the generation the build
+    // captured plus one. A real snapshot heals everything: breaker closed,
+    // fallback and quarantine replaced. The fallback is itself the
+    // degraded state, so it heals nothing and advances no generation
+    // (the next real build keeps its seed).
+    entry->generation += 1;
+    entry->breaker.RecordSuccess();
+    entry->quarantined = false;
+    entry->last_error = Status::OK();
+  }
+  // Release-publish so a serving thread that observes the new counter
+  // also observes the snapshot it validates.
+  entry->published.fetch_add(1, std::memory_order_release);
+  // Subtract the captured count instead of resetting to zero:
+  // modifications recorded after the capture raced the build, are not
+  // reflected in the snapshot just published, and must survive into the
+  // new generation's staleness accounting.
+  entry->modifications_since_build.fetch_sub(modifications_at_capture,
+                                             std::memory_order_relaxed);
+}
+
 Result<std::shared_ptr<const ColumnStatistics>>
 StatisticsShard::BuildAndPublish(const std::string& column, Entry* entry,
                                    const Table& table, bool require_fresh,
@@ -135,25 +168,19 @@ StatisticsShard::BuildAndPublish(const std::string& column, Entry* entry,
   MutexLock build_lock(entry->build_mu);
   std::uint64_t generation = 0;
   std::uint64_t modifications_at_capture = 0;
-  bool breaker_open = false;
   Status breaker_status = Status::OK();
   std::shared_ptr<const ColumnStatistics> current;
   {
     ReaderMutexLock lock(mu_);
     entry->AssertReaderHeld();
-    if (entry->stats != nullptr && !entry->serving_fallback &&
-        (!require_fresh || !IsStaleLocked(*entry))) {
-      return entry->stats;
-    }
+    if (SatisfiesLocked(*entry, require_fresh)) return entry->stats;
     current = entry->stats;
     // Circuit breaker: while open, don't attempt the *storage* build —
     // noted here, acted on below, after the incremental path got its shot.
-    if (entry->breaker_open_until != 0 &&
-        NowMicros() < entry->breaker_open_until) {
-      breaker_open = true;
+    if (entry->breaker.IsOpen(options_.clock)) {
       breaker_status = Status::Unavailable(
           "circuit breaker open after " +
-          std::to_string(entry->consecutive_build_failures) +
+          std::to_string(entry->breaker.consecutive_failures) +
           " consecutive build failures; last: " +
           entry->last_error.ToString());
     }
@@ -175,7 +202,7 @@ StatisticsShard::BuildAndPublish(const std::string& column, Entry* entry,
           TryRefreshIncremental(entry, modifications_at_capture)) {
     return refreshed;
   }
-  if (breaker_open) {
+  if (!breaker_status.ok()) {
     // Keep serving whatever is published (the stale snapshot or the
     // fallback) until the cooldown lets a build through.
     if (current != nullptr) {
@@ -188,14 +215,14 @@ StatisticsShard::BuildAndPublish(const std::string& column, Entry* entry,
   // the order in which threads or BuildAll shards reach this column.
   const std::uint64_t seed =
       DeriveStreamSeed(options_.seed ^ HashColumnName(column), generation);
-  const std::uint64_t build_started = NowMicros();
+  const std::uint64_t build_started = ReadClock(options_.clock);
   Result<ColumnStatistics> built = Build(column, table, seed, pool());
   if (!built.ok()) {
     if (build_error != nullptr) *build_error = built.status();
     return AbsorbBuildFailure(entry, table, built.status());
   }
   metrics_.Observe(metrics::Hist::kBuildLatencyMicros,
-                   NowMicros() - build_started);
+                   ReadClock(options_.clock) - build_started);
   auto snapshot =
       std::make_shared<const ColumnStatistics>(std::move(built).value());
   // The build factories produce the model (with any compiled read-path
@@ -205,32 +232,7 @@ StatisticsShard::BuildAndPublish(const std::string& column, Entry* entry,
   if (snapshot->model == nullptr) {
     return Status::Internal("built statistics carry no histogram model");
   }
-  {
-    WriterMutexLock lock(mu_);
-    entry->AssertWriterHeld();
-    total_build_cost_ += snapshot->build_cost;
-    entry->stats = snapshot;
-    entry->model = snapshot->model;
-    entry->generation = generation + 1;
-    // A successful build heals everything: breaker closed, fallback and
-    // quarantine replaced by the real snapshot.
-    entry->consecutive_build_failures = 0;
-    entry->breaker_open_until = 0;
-    entry->serving_fallback = false;
-    entry->quarantined = false;
-    entry->last_error = Status::OK();
-    // Release-publish so a serving thread that observes the new counter
-    // also observes the snapshot it validates.
-    entry->published.fetch_add(1, std::memory_order_release);
-    // Subtract the captured count instead of resetting to zero:
-    // modifications recorded after the capture raced the build, are not
-    // reflected in the snapshot just published, and must survive into
-    // the new generation's staleness accounting. (The previous
-    // unconditional store(0) — issued after the lock was released, no
-    // less — silently erased them.)
-    entry->modifications_since_build.fetch_sub(modifications_at_capture,
-                                               std::memory_order_relaxed);
-  }
+  Publish(entry, snapshot, modifications_at_capture);
   // Re-arm (or disarm) the live maintenance state from the fresh snapshot.
   // DML that raced the build and landed in the old live state is simply
   // superseded: it still counts toward staleness via the counter above.
@@ -276,23 +278,9 @@ StatisticsShard::TryRefreshIncremental(
   if (!built.ok()) return nullptr;  // fall through to the full build
   auto snapshot =
       std::make_shared<const ColumnStatistics>(std::move(built).value());
-  {
-    WriterMutexLock lock(mu_);
-    entry->AssertWriterHeld();
-    entry->stats = snapshot;
-    entry->model = snapshot->model;
-    entry->generation += 1;
-    // A successful refresh heals like a successful build: the column is
-    // demonstrably servable again, breaker and degradation flags drop.
-    entry->consecutive_build_failures = 0;
-    entry->breaker_open_until = 0;
-    entry->serving_fallback = false;
-    entry->quarantined = false;
-    entry->last_error = Status::OK();
-    entry->published.fetch_add(1, std::memory_order_release);
-    entry->modifications_since_build.fetch_sub(modifications_at_capture,
-                                               std::memory_order_relaxed);
-  }
+  // A successful refresh heals like a successful build: the column is
+  // demonstrably servable again.
+  Publish(entry, snapshot, modifications_at_capture);
   incremental_refreshes_.fetch_add(1, std::memory_order_relaxed);
   metrics_.Increment(metrics::Counter::kIncrementalRefreshes);
   return snapshot;
@@ -321,13 +309,8 @@ void StatisticsShard::WarmMaintenance(Entry* entry,
 
 void StatisticsShard::RecordInsert(const std::string& column, Value value) {
   metrics_.Increment(metrics::Counter::kDmlRecords);
-  std::shared_ptr<Entry> entry;
-  {
-    ReaderMutexLock lock(mu_);
-    const auto it = entries_.find(column);
-    if (it == entries_.end()) return;
-    entry = it->second;
-  }
+  const std::shared_ptr<Entry> entry = FindEntry(column);
+  if (entry == nullptr) return;
   entry->modifications_since_build.fetch_add(1, std::memory_order_relaxed);
   MutexLock lock(entry->maintenance.mu);
   if (entry->maintenance.live.has_value()) {
@@ -337,13 +320,8 @@ void StatisticsShard::RecordInsert(const std::string& column, Value value) {
 
 void StatisticsShard::RecordDelete(const std::string& column, Value value) {
   metrics_.Increment(metrics::Counter::kDmlRecords);
-  std::shared_ptr<Entry> entry;
-  {
-    ReaderMutexLock lock(mu_);
-    const auto it = entries_.find(column);
-    if (it == entries_.end()) return;
-    entry = it->second;
-  }
+  const std::shared_ptr<Entry> entry = FindEntry(column);
+  if (entry == nullptr) return;
   entry->modifications_since_build.fetch_add(1, std::memory_order_relaxed);
   MutexLock lock(entry->maintenance.mu);
   if (entry->maintenance.live.has_value()) {
@@ -361,14 +339,11 @@ StatisticsShard::AbsorbBuildFailure(Entry* entry, const Table& table,
   {
     WriterMutexLock lock(mu_);
     entry->AssertWriterHeld();
-    ++entry->consecutive_build_failures;
     ++entry->total_build_failures;
     entry->last_error = error;
-    if (entry->consecutive_build_failures >=
-        options_.breaker_failure_threshold) {
-      entry->breaker_open_until =
-          NowMicros() + options_.breaker_cooldown_micros;
-    }
+    entry->breaker.RecordFailure(options_.clock,
+                                 options_.breaker_failure_threshold,
+                                 options_.breaker_cooldown_micros);
     // Stale-while-error: the failed rebuild leaves the published snapshot
     // untouched (`published` is NOT bumped), so every serving thread keeps
     // its cached snapshot with zero extra cost. The staleness that caused
@@ -381,37 +356,33 @@ StatisticsShard::AbsorbBuildFailure(Entry* entry, const Table& table,
   // uniform fallback so estimation stays available. Health reports
   // kDegraded; a later successful build replaces it.
   auto snapshot = MakeFallbackSnapshot(table);
-  {
-    WriterMutexLock lock(mu_);
-    entry->AssertWriterHeld();
-    entry->stats = snapshot;
-    entry->model = snapshot->model;
-    entry->serving_fallback = true;
-    entry->published.fetch_add(1, std::memory_order_release);
-  }
+  Publish(entry, snapshot, /*modifications_at_capture=*/0, /*fallback=*/true);
   metrics_.Increment(metrics::Counter::kFallbackPublishes);
   return snapshot;
 }
 
 Result<std::shared_ptr<const ColumnStatistics>>
-StatisticsShard::GetOrBuildShared(const std::string& column,
-                                    const Table& table) {
+StatisticsShard::AcquireSnapshot(const std::string& column,
+                                 const Table& table, bool require_fresh,
+                                 Status* build_error) {
   {
     ReaderMutexLock lock(mu_);
     const auto it = entries_.find(column);
     if (it != entries_.end()) {
       const Entry& entry = *it->second;
       entry.AssertReaderHeld();
-      // A fallback snapshot doesn't satisfy GetOrBuild: fall through and
-      // try a real build (the breaker inside BuildAndPublish rate-limits
-      // it).
-      if (entry.stats != nullptr && !entry.serving_fallback) {
-        return entry.stats;
-      }
+      if (SatisfiesLocked(entry, require_fresh)) return entry.stats;
     }
   }
   const std::shared_ptr<Entry> entry = GetEntry(column);
-  return BuildAndPublish(column, entry.get(), table, /*require_fresh=*/false);
+  return BuildAndPublish(column, entry.get(), table, require_fresh,
+                         build_error);
+}
+
+Result<std::shared_ptr<const ColumnStatistics>>
+StatisticsShard::GetOrBuildShared(const std::string& column,
+                                    const Table& table) {
+  return AcquireSnapshot(column, table, /*require_fresh=*/false);
 }
 
 Result<const ColumnStatistics*> StatisticsShard::GetOrBuild(
@@ -426,13 +397,8 @@ Result<const ColumnStatistics*> StatisticsShard::GetOrBuild(
 void StatisticsShard::RecordModifications(const std::string& column,
                                           std::uint64_t count) {
   metrics_.Increment(metrics::Counter::kDmlRecords);
-  std::shared_ptr<Entry> entry;
-  {
-    ReaderMutexLock lock(mu_);
-    const auto it = entries_.find(column);
-    if (it == entries_.end()) return;
-    entry = it->second;
-  }
+  const std::shared_ptr<Entry> entry = FindEntry(column);
+  if (entry == nullptr) return;
   entry->modifications_since_build.fetch_add(count,
                                              std::memory_order_relaxed);
   if (count == 0) return;
@@ -452,30 +418,9 @@ bool StatisticsShard::IsStale(const std::string& column) const {
 }
 
 Result<std::shared_ptr<const ColumnStatistics>>
-StatisticsShard::EnsureFreshInternal(const std::string& column,
-                                       const Table& table,
-                                       Status* build_error) {
-  {
-    ReaderMutexLock lock(mu_);
-    const auto it = entries_.find(column);
-    if (it != entries_.end()) {
-      const Entry& entry = *it->second;
-      entry.AssertReaderHeld();
-      if (entry.stats != nullptr && !entry.serving_fallback &&
-          !IsStaleLocked(entry)) {
-        return entry.stats;
-      }
-    }
-  }
-  const std::shared_ptr<Entry> entry = GetEntry(column);
-  return BuildAndPublish(column, entry.get(), table, /*require_fresh=*/true,
-                         build_error);
-}
-
-Result<std::shared_ptr<const ColumnStatistics>>
 StatisticsShard::EnsureFreshShared(const std::string& column,
                                      const Table& table) {
-  return EnsureFreshInternal(column, table, /*build_error=*/nullptr);
+  return AcquireSnapshot(column, table, /*require_fresh=*/true);
 }
 
 Result<const ColumnStatistics*> StatisticsShard::EnsureFresh(
@@ -491,7 +436,8 @@ StatisticsShard::BuildAllResult StatisticsShard::BuildAll(
   // absorbed it, or the propagated error for non-fault failures.
   auto build_one = [this, &table](const std::string& column) -> Status {
     Status build_error = Status::OK();
-    const auto result = EnsureFreshInternal(column, table, &build_error);
+    const auto result = AcquireSnapshot(column, table,
+                                        /*require_fresh=*/true, &build_error);
     if (!result.ok()) return result.status();
     return build_error;
   };
@@ -530,7 +476,8 @@ StatisticsShard::BuildAllResult StatisticsShard::BuildAll(
 
 Status StatisticsShard::InstallSerializedStatistics(
     const std::string& column, std::span<const std::uint8_t> bytes) {
-  const std::shared_ptr<Entry> entry = GetEntry(column);
+  const std::shared_ptr<Entry> node = GetEntry(column);
+  Entry* const entry = node.get();
   // Installs serialize against live builds of the same column.
   MutexLock build_lock(entry->build_mu);
   // Same race-free accounting as BuildAndPublish: the blob reflects DML
@@ -554,24 +501,10 @@ Status StatisticsShard::InstallSerializedStatistics(
   }
   auto snapshot =
       std::make_shared<const ColumnStatistics>(std::move(parsed).value());
-  {
-    WriterMutexLock lock(mu_);
-    entry->AssertWriterHeld();
-    entry->stats = snapshot;
-    entry->model = snapshot->model;
-    entry->generation += 1;
-    entry->serving_fallback = false;
-    entry->quarantined = false;
-    entry->consecutive_build_failures = 0;
-    entry->breaker_open_until = 0;
-    entry->last_error = Status::OK();
-    entry->published.fetch_add(1, std::memory_order_release);
-    entry->modifications_since_build.fetch_sub(modifications_at_capture,
-                                               std::memory_order_relaxed);
-  }
+  Publish(entry, snapshot, modifications_at_capture);
   // An installed incremental-equi-depth blob carries its reservoir, so
   // restore-from-catalog re-arms O(Δ) maintenance just like a live build.
-  WarmMaintenance(entry.get(), *snapshot);
+  WarmMaintenance(entry, *snapshot);
   return Status::OK();
 }
 
@@ -585,7 +518,7 @@ ColumnHealthReport StatisticsShard::Health(const std::string& column) const {
   report.exists = true;
   report.serving_fallback = entry.serving_fallback;
   report.quarantined = entry.quarantined;
-  report.consecutive_build_failures = entry.consecutive_build_failures;
+  report.consecutive_build_failures = entry.breaker.consecutive_failures;
   report.total_build_failures = entry.total_build_failures;
   if (entry.stats != nullptr && entry.stats->row_count > 0) {
     report.modified_fraction =
@@ -594,11 +527,10 @@ ColumnHealthReport StatisticsShard::Health(const std::string& column) const {
         static_cast<double>(entry.stats->row_count);
   }
   report.last_error = entry.last_error;
-  report.breaker_open = entry.breaker_open_until != 0 &&
-                        NowMicros() < entry.breaker_open_until;
+  report.breaker_open = entry.breaker.IsOpen(options_.clock);
   if (entry.stats == nullptr || entry.serving_fallback || entry.quarantined) {
     report.health = ColumnHealth::kDegraded;
-  } else if (IsStaleLocked(entry) || entry.consecutive_build_failures > 0) {
+  } else if (IsStaleLocked(entry) || entry.breaker.consecutive_failures > 0) {
     report.health = ColumnHealth::kStale;
   } else {
     report.health = ColumnHealth::kFresh;
@@ -637,85 +569,62 @@ StatisticsShard::CachedServing* StatisticsShard::FindCachedServing(
   return nullptr;
 }
 
-Result<StatisticsShard::CachedServing*> StatisticsShard::RefreshServing(
+HistogramModelPtr StatisticsShard::CaptureServing(const std::string& column) {
+  CachedServing fresh;
+  {
+    ReaderMutexLock lock(mu_);
+    const auto it = entries_.find(column);
+    if (it == entries_.end()) return nullptr;
+    it->second->AssertReaderHeld();
+    if (it->second->stats == nullptr) return nullptr;
+    // Counter and snapshot are mutually consistent here: Publish mutates
+    // both under the exclusive lock we are sharing against.
+    fresh.published = it->second->published.load(std::memory_order_acquire);
+    fresh.model = it->second->stats->model;
+    fresh.entry = it->second;
+  }
+  fresh.shard_id = shard_id_;
+  fresh.column = column;
+  std::vector<CachedServing>& cache = ServingCache();
+  CachedServing* slot = FindCachedServing(column);
+  if (slot == nullptr) {
+    if (cache.size() >= kMaxServingSlots) cache.erase(cache.begin());
+    slot = &cache.emplace_back();
+  }
+  *slot = std::move(fresh);
+  return slot->model;
+}
+
+Result<HistogramModelPtr> StatisticsShard::ServingModel(
     const std::string& column, const Table& table) {
+  const CachedServing* slot = FindCachedServing(column);
+  if (slot != nullptr && slot->entry->published.load(
+                             std::memory_order_acquire) == slot->published) {
+    return slot->model;
+  }
   metrics_.Increment(metrics::Counter::kServingCacheRefreshes);
   // Capture always resolves through the entry map, never through a cached
   // entry pointer: an entry detached by Drop must not be re-validated, or
   // a thread could serve a dropped column forever.
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    std::shared_ptr<Entry> entry;
-    CachedServing fresh;
-    {
-      ReaderMutexLock lock(mu_);
-      const auto it = entries_.find(column);
-      if (it != entries_.end()) {
-        it->second->AssertReaderHeld();
-        if (it->second->stats != nullptr) {
-          entry = it->second;
-          // Counter and snapshot are mutually consistent here: publishes
-          // mutate both under the exclusive lock we are sharing against.
-          fresh.published = entry->published.load(std::memory_order_acquire);
-          fresh.stats = it->second->stats;
-          fresh.model = it->second->model;
-        }
-      }
-    }
-    if (entry != nullptr) {
-      fresh.shard_id = shard_id_;
-      fresh.column = column;
-      fresh.entry = std::move(entry);
-      std::vector<CachedServing>& cache = ServingCache();
-      CachedServing* slot = FindCachedServing(column);
-      if (slot == nullptr) {
-        if (cache.size() >= kMaxServingSlots) cache.erase(cache.begin());
-        slot = &cache.emplace_back();
-      }
-      *slot = std::move(fresh);
-      return slot;
-    }
-    // Missing or never-built column: build through the normal path, then
-    // re-capture. Another thread may Drop between the build and the
-    // capture, hence the (bounded) retry loop.
-    const std::shared_ptr<Entry> node = GetEntry(column);
-    EQUIHIST_ASSIGN_OR_RETURN(
-        const auto built,
-        BuildAndPublish(column, node.get(), table, /*require_fresh=*/false));
-    (void)built;
-  }
-  return Status::Internal(
-      "statistics were repeatedly dropped while refreshing the serving path");
+  if (HistogramModelPtr model = CaptureServing(column)) return model;
+  // Missing or never-built column: build through the normal path, then
+  // capture what it published.
+  EQUIHIST_ASSIGN_OR_RETURN(const std::shared_ptr<const ColumnStatistics> built,
+                            GetOrBuildShared(column, table));
+  if (HistogramModelPtr model = CaptureServing(column)) return model;
+  // A concurrent Drop detached the entry before the capture: serve the
+  // snapshot this call built, uncached, so the next call resolves through
+  // the map again.
+  return built->model;
 }
 
 Result<double> StatisticsShard::EstimateRange(const std::string& column,
                                               const Table& table,
                                               const RangeQuery& query) {
   metrics_.Increment(metrics::Counter::kEstimateQueries);
-  CachedServing* slot = FindCachedServing(column);
-  if (slot == nullptr || slot->entry->published.load(
-                             std::memory_order_acquire) != slot->published) {
-    EQUIHIST_ASSIGN_OR_RETURN(slot, RefreshServing(column, table));
-  }
-  return slot->model->EstimateRangeCount(query);
-}
-
-Status StatisticsShard::EstimateRanges(const std::string& column,
-                                       const Table& table,
-                                       std::span<const RangeQuery> queries,
-                                       std::span<double> out, bool use_pool) {
-  if (out.size() < queries.size()) {
-    return Status::InvalidArgument(
-        "output span smaller than the query batch");
-  }
-  metrics_.Increment(metrics::Counter::kEstimateQueries, queries.size());
-  CachedServing* slot = FindCachedServing(column);
-  if (slot == nullptr || slot->entry->published.load(
-                             std::memory_order_acquire) != slot->published) {
-    EQUIHIST_ASSIGN_OR_RETURN(slot, RefreshServing(column, table));
-  }
-  slot->model->EstimateRangeCounts(queries, out,
-                                   use_pool ? pool() : nullptr);
-  return Status::OK();
+  EQUIHIST_ASSIGN_OR_RETURN(const HistogramModelPtr model,
+                            ServingModel(column, table));
+  return model->EstimateRangeCount(query);
 }
 
 Status StatisticsShard::EstimateBatch(
@@ -731,12 +640,10 @@ Status StatisticsShard::EstimateBatch(
   metrics_.Increment(metrics::Counter::kEstimateQueries, n);
   metrics_.Observe(metrics::Hist::kEstimateBatchSize, n);
   // Group the interleaved requests by column, resolving each distinct
-  // column's serving snapshot exactly once through the lock-free cache.
-  // The model shared_ptr is copied out of the thread-local slot right
-  // away: resolving the *next* column can evict or reallocate slots and
-  // invalidate the pointer (the copy also pins the snapshot for the rest
-  // of the batch, so a concurrent rebuild cannot pull it out from under
-  // the later estimation pass).
+  // column's serving model exactly once through the lock-free cache. The
+  // returned shared_ptr pins the snapshot for the rest of the batch, so a
+  // concurrent rebuild cannot pull it out from under the later
+  // estimation pass.
   //
   // A predicate list names a handful of columns, so the group table is a
   // flat linear-scanned vector, and the per-group query lists live in one
@@ -754,14 +661,10 @@ Status StatisticsShard::EstimateBatch(
     std::size_t g = 0;
     while (g < groups.size() && *groups[g].column != requests[i].column) ++g;
     if (g == groups.size()) {
-      CachedServing* slot = FindCachedServing(requests[i].column);
-      if (slot == nullptr ||
-          slot->entry->published.load(std::memory_order_acquire) !=
-              slot->published) {
-        EQUIHIST_ASSIGN_OR_RETURN(slot,
-                                  RefreshServing(requests[i].column, table));
-      }
-      groups.push_back(ColumnGroup{&requests[i].column, slot->model, 0, 0});
+      EQUIHIST_ASSIGN_OR_RETURN(HistogramModelPtr model,
+                                ServingModel(requests[i].column, table));
+      groups.push_back(
+          ColumnGroup{&requests[i].column, std::move(model), 0, 0});
     }
     ++groups[g].count;
     group_of[i] = g;

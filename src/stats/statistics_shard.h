@@ -15,6 +15,7 @@
 
 #include "baseline/gmp_incremental.h"
 #include "common/annotations.h"
+#include "common/circuit_breaker.h"
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/result.h"
@@ -216,13 +217,12 @@ class StatisticsShard {
   // current immutable snapshot through its HistogramModel (the equi-height
   // family serves via the compiled O(log k) read path, other backends via
   // their own estimators). Each thread keeps a small snapshot cache keyed
-  // by (manager,
-  // column) and validated by a per-entry publication counter; while
-  // statistics are unchanged the whole call is lock-free — one relaxed
-  // string-keyed cache probe plus one atomic load, no mutex, no shared_ptr
-  // refcount traffic. The counter bumps on every publish and on Drop, so a
-  // changed column costs one shared-lock snapshot refresh and subsequent
-  // calls are lock-free again.
+  // by (shard, column) and validated by a per-entry publication counter;
+  // while statistics are unchanged the whole resolution is lock-free — one
+  // string-keyed cache probe, one acquire load and one shared_ptr copy of
+  // the model, no mutex. The counter bumps on every publish and on Drop,
+  // so a changed column costs one shared-lock snapshot refresh and
+  // subsequent calls are lock-free again.
   //
   // Staleness is deliberately not checked here (plan-time estimation must
   // be nearly free); call EnsureFresh* when freshness matters — a rebuild
@@ -230,24 +230,15 @@ class StatisticsShard {
   Result<double> EstimateRange(const std::string& column, const Table& table,
                                const RangeQuery& query);
 
-  // Batch variant: one snapshot resolution for the whole batch, then the
-  // compiled batch path; with use_pool the batch shards across the
-  // manager's pool (bitwise-identical results at any thread count).
-  // Requires out.size() >= queries.size().
-  Status EstimateRanges(const std::string& column, const Table& table,
-                        std::span<const RangeQuery> queries,
-                        std::span<double> out, bool use_pool = false);
-
-  // Multi-column batch variant: the planner hands over an entire predicate
-  // list — columns freely interleaved — and gets every estimate back in
-  // one call. Each distinct column's snapshot resolves once through the
-  // lock-free serving cache (first access may build, exactly like
-  // EstimateRange); its queries then run through the backend's batch path,
-  // the compiled estimator on equi-height. With use_pool, per-column
-  // sub-batches shard across the manager's pool; results are
-  // bitwise-identical at any thread count. On error (an unbuildable
-  // column), estimates already computed are unspecified and the first
-  // failure is returned.
+  // Batch variant: the planner hands over an entire predicate list —
+  // columns freely interleaved — and gets every estimate back in one
+  // call. Each distinct column's snapshot resolves once, exactly like
+  // EstimateRange (first access may build); its queries then run through
+  // the backend's batch path, the compiled estimator on equi-height. With
+  // use_pool, per-column sub-batches shard across the shard's pool;
+  // results are bitwise-identical to EstimateRange at any thread count.
+  // On error (an unbuildable column), estimates already computed are
+  // unspecified and the first failure is returned.
   Status EstimateBatch(const Table& table,
                        std::span<const BatchEstimateRequest> requests,
                        BatchEstimateResult* result, bool use_pool = false);
@@ -358,28 +349,23 @@ class StatisticsShard {
     void AssertWriterHeld() const ASSERT_CAPABILITY(*mu) {}
 
     SharedMutex* const mu;
-    // Immutable snapshot, swapped atomically under mu; null while the
-    // first build is in flight.
+    // Immutable snapshot (its `model` is what the serving path estimates
+    // with), swapped by Publish; null while the first build is in flight.
     std::shared_ptr<const ColumnStatistics> stats GUARDED_BY(*mu);
-    // The snapshot's servable histogram model (any backend family); set
-    // together with `stats` under mu, built outside any lock.
-    HistogramModelPtr model GUARDED_BY(*mu);
     std::atomic<std::uint64_t> modifications_since_build{0};
     std::uint64_t generation GUARDED_BY(*mu) = 0;  // # builds completed
-    // Serializes builds of this column.
+    // Serializes builds, refreshes and installs of this column.
     Mutex build_mu{lockrank::kShardBuild};
     // Publication counter for the lock-free serving path: bumped (under
-    // mu) whenever `stats` changes and when the column is dropped. A
-    // thread-cached snapshot is current iff this still equals the value
-    // captured at caching time; monotone, so there is no ABA.
+    // mu) by Publish and by Drop, nowhere else. A thread-cached snapshot is
+    // current iff this still equals the value captured at caching time;
+    // monotone, so there is no ABA.
     std::atomic<std::uint64_t> published{0};
     // -- Degraded-serving state (DESIGN.md §11), written only in slow
     // paths — a failed rebuild never bumps `published`, so serving
     // threads keep their cached snapshot at zero cost.
-    std::uint64_t consecutive_build_failures GUARDED_BY(*mu) = 0;
+    CircuitBreaker breaker GUARDED_BY(*mu);
     std::uint64_t total_build_failures GUARDED_BY(*mu) = 0;
-    // Clock micros; 0 = closed.
-    std::uint64_t breaker_open_until GUARDED_BY(*mu) = 0;
     // `stats` is the uniform fallback.
     bool serving_fallback GUARDED_BY(*mu) = false;
     // Last installed blob failed to parse.
@@ -390,21 +376,30 @@ class StatisticsShard {
   };
 
   // One thread-local cache slot of the serving path: the shared_ptrs keep
-  // the snapshot (and its Entry node) alive without per-query refcount
-  // traffic, `published` is the captured publication count.
+  // the model and the Entry node whose counter validates it alive;
+  // `published` is the captured publication count.
   struct CachedServing {
     std::uint64_t shard_id = 0;
     std::string column;
     std::uint64_t published = 0;
     std::shared_ptr<Entry> entry;
-    std::shared_ptr<const ColumnStatistics> stats;
     HistogramModelPtr model;
   };
 
   Result<ColumnStatistics> Build(const std::string& column, const Table& table,
                                  std::uint64_t seed, ThreadPool* pool);
+  // The entry node for `column` (reader-locked lookup); null if unknown.
+  std::shared_ptr<Entry> FindEntry(const std::string& column) const
+      EXCLUDES(mu_);
   // Finds or creates the entry node for `column`.
-  std::shared_ptr<Entry> GetEntry(const std::string& column);
+  std::shared_ptr<Entry> GetEntry(const std::string& column) EXCLUDES(mu_);
+  // The published snapshot when it satisfies the caller as it stands (a
+  // real snapshot, not past the staleness threshold when `require_fresh`),
+  // else BuildAndPublish. GetOrBuild*, EnsureFresh* and BuildAll all come
+  // through here; `build_error` is as for BuildAndPublish.
+  Result<std::shared_ptr<const ColumnStatistics>> AcquireSnapshot(
+      const std::string& column, const Table& table, bool require_fresh,
+      Status* build_error = nullptr) EXCLUDES(mu_);
   // Serializes on entry->build_mu, re-checks whether a build is still
   // needed (`require_fresh` additionally rebuilds stale snapshots), then
   // builds without locks held and publishes under the exclusive lock.
@@ -416,6 +411,15 @@ class StatisticsShard {
       const std::string& column, Entry* entry, const Table& table,
       bool require_fresh, Status* build_error = nullptr)
       EXCLUDES(mu_, entry->build_mu);
+  // The one publish step, and with Drop the only writer of `published`:
+  // swaps in `snapshot`, bumps the publication counter and subtracts the
+  // modifications captured when the build started. A real snapshot also
+  // advances the generation and heals breaker, fallback and quarantine
+  // state; the uniform `fallback` is the degraded state itself and only
+  // marks it.
+  void Publish(Entry* entry, std::shared_ptr<const ColumnStatistics> snapshot,
+               std::uint64_t modifications_at_capture, bool fallback = false)
+      REQUIRES(entry->build_mu) EXCLUDES(mu_);
   // The degrade path of a failed build: breaker bookkeeping plus
   // stale-while-error / fallback-publish.
   Result<std::shared_ptr<const ColumnStatistics>> AbsorbBuildFailure(
@@ -439,26 +443,29 @@ class StatisticsShard {
   // opaque_modifications — the new snapshot subsumes them.
   void WarmMaintenance(Entry* entry, const ColumnStatistics& stats)
       EXCLUDES(mu_);
-  // EnsureFreshShared with the underlying build error surfaced even when
-  // degradation absorbed it (the BuildAll aggregation hook).
-  Result<std::shared_ptr<const ColumnStatistics>> EnsureFreshInternal(
-      const std::string& column, const Table& table, Status* build_error);
   bool IsStaleLocked(const Entry& entry) const REQUIRES_SHARED(*entry.mu);
-  // The injectable monotonic clock (microseconds).
-  std::uint64_t NowMicros() const;
+  // The AcquireSnapshot fast-path test (see there).
+  bool SatisfiesLocked(const Entry& entry, bool require_fresh) const
+      REQUIRES_SHARED(*entry.mu);
   // Lazily created pool per options_.threads (null when sequential).
   ThreadPool* pool();
 
   // The calling thread's serving cache (shared by all managers, keyed by
   // shard_id_ so address reuse across manager lifetimes cannot alias).
   static std::vector<CachedServing>& ServingCache();
-  // Cache probe for (this manager, column); null on miss.
+  // Cache probe for (this shard, column); null on miss.
   CachedServing* FindCachedServing(const std::string& column);
-  // Slow path: resolves the column's current snapshot via the entry map
-  // (building on first access), installs it in this thread's cache, and
-  // returns the slot.
-  Result<CachedServing*> RefreshServing(const std::string& column,
-                                        const Table& table);
+  // Captures the column's published model and counter through the entry
+  // map into this thread's cache; null when the column is unknown or not
+  // yet built.
+  HistogramModelPtr CaptureServing(const std::string& column) EXCLUDES(mu_);
+  // The one serving resolver behind EstimateRange and EstimateBatch: the
+  // thread-cached model while its publication counter holds, else a
+  // capture through the entry map — building first on first access. If a
+  // concurrent Drop detaches the entry before the capture, the snapshot
+  // this call built is served uncached.
+  Result<HistogramModelPtr> ServingModel(const std::string& column,
+                                         const Table& table) EXCLUDES(mu_);
 
   const Options options_;
   const std::uint64_t shard_id_;  // process-unique, assigned at construction

@@ -16,35 +16,23 @@
 #include <tuple>
 #include <utility>
 
+#include "common/timer.h"
 #include "stats/fleet_wire.h"
 #include "stats/wire_format.h"
 
 namespace equihist::transport {
 namespace {
 
-std::uint64_t NowMicros() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-// Remaining budget against an absolute steady-clock deadline; 0 = spent.
-std::uint64_t RemainingMicros(std::uint64_t deadline_micros) {
-  const std::uint64_t now = NowMicros();
-  return now >= deadline_micros ? 0 : deadline_micros - now;
-}
-
 // Sleeps in short slices so an injected delay can neither overshoot the
 // caller's deadline nor pin a shutting-down server thread.
 void SleepBounded(std::uint64_t micros, std::uint64_t deadline_micros,
                   const std::atomic<bool>* stop) {
   const std::uint64_t until =
-      std::min(NowMicros() + micros,
+      std::min(SteadyMicros() + micros,
                deadline_micros == 0 ? ~std::uint64_t{0} : deadline_micros);
-  while (NowMicros() < until) {
+  while (SteadyMicros() < until) {
     if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;
-    const std::uint64_t left = until - NowMicros();
+    const std::uint64_t left = until - SteadyMicros();
     std::this_thread::sleep_for(
         std::chrono::microseconds(std::min<std::uint64_t>(left, 10'000)));
   }
@@ -238,7 +226,7 @@ Result<std::vector<std::uint8_t>> InProcessTransport::RoundTrip(
   if (budget_micros == 0) {
     return Status::DeadlineExceeded("transport budget exhausted");
   }
-  const std::uint64_t deadline = NowMicros() + budget_micros;
+  const std::uint64_t deadline = SteadyMicros() + budget_micros;
   std::vector<std::uint8_t> request(frame.begin(), frame.end());
   if (injector_ != nullptr) {
     if (injector_->Partitioned(connection_id_)) {
@@ -342,7 +330,7 @@ Result<std::unique_ptr<SocketTransport>> SocketTransport::Connect(
     injector->RecordPartitionHit();
     return Status::Unavailable("link partitioned");
   }
-  const std::uint64_t deadline = NowMicros() + budget_micros;
+  const std::uint64_t deadline = SteadyMicros() + budget_micros;
   const int fd = socket(
       endpoint.kind == Endpoint::Kind::kUnix ? AF_UNIX : AF_INET,
       SOCK_STREAM, 0);
@@ -413,7 +401,7 @@ Result<std::vector<std::uint8_t>> SocketTransport::RoundTripLocked(
     broken_.store(true, std::memory_order_relaxed);
     return Status::Unavailable("link partitioned");
   }
-  const std::uint64_t deadline = NowMicros() + budget_micros;
+  const std::uint64_t deadline = SteadyMicros() + budget_micros;
   const std::uint64_t request_id = next_request_id_++;
 
   // -- Send leg -------------------------------------------------------------
@@ -705,7 +693,7 @@ void SocketTransportServer::ReaderLoop(std::shared_ptr<Connection> connection) {
     // Idle slice: wait for the first byte only, so a timeout here can
     // never fire mid-envelope and desync the stream.
     const Status ready =
-        PollFd(connection->fd, POLLIN, NowMicros() + 100'000, nullptr);
+        PollFd(connection->fd, POLLIN, SteadyMicros() + 100'000, nullptr);
     if (!ready.ok()) {
       if (ready.code() == StatusCode::kDeadlineExceeded) continue;
       break;
@@ -715,7 +703,7 @@ void SocketTransportServer::ReaderLoop(std::shared_ptr<Connection> connection) {
     // this reader for at most 30s — Stop()'s shutdown() unblocks it
     // earlier either way.
     Result<std::vector<std::uint8_t>> payload = RecvEnvelopePayload(
-        connection->fd, options_.max_frame_bytes, NowMicros() + 30'000'000,
+        connection->fd, options_.max_frame_bytes, SteadyMicros() + 30'000'000,
         nullptr);
     if (!payload.ok()) {
       break;  // EOF, hostile length, or a desynced stream: drop the link
@@ -737,7 +725,7 @@ void SocketTransportServer::ReaderLoop(std::shared_ptr<Connection> connection) {
     item.connection = connection;
     item.frame = std::move(envelope.frame);
     item.request_id = envelope.request_id;
-    item.enqueued_micros = NowMicros();
+    item.enqueued_micros = SteadyMicros();
     item.deadline_micros = item.enqueued_micros + envelope.budget_micros;
     // Stash the per-connection frame index for the serve-direction chaos
     // decision; request ids restart per connection so they cannot key it.
@@ -801,7 +789,7 @@ void SocketTransportServer::WorkerLoop() {
                                    queue_.size());
       }
     }
-    const std::uint64_t now = NowMicros();
+    const std::uint64_t now = SteadyMicros();
     if (options_.metrics != nullptr) {
       options_.metrics->Observe(metrics::Hist::kServerQueueWaitMicros,
                                 now - item.enqueued_micros);
@@ -824,8 +812,8 @@ void SocketTransportServer::WorkerLoop() {
         // A slow handler: sleeps through the client's deadline if the
         // spec says so (sliced so shutdown stays prompt).
         bool stop_now = false;
-        const std::uint64_t until = NowMicros() + plan.delay_micros;
-        while (NowMicros() < until && !stop_now) {
+        const std::uint64_t until = SteadyMicros() + plan.delay_micros;
+        while (SteadyMicros() < until && !stop_now) {
           std::this_thread::sleep_for(std::chrono::milliseconds(10));
           MutexLock lock(mu_);
           stop_now = stopping_;
@@ -857,7 +845,7 @@ void SocketTransportServer::Reply(
   MutexLock lock(connection->write_mu);
   // A stuck client must not pin a worker: bound the write and abandon the
   // link on failure (the client's own deadline covers the loss).
-  if (!SendAll(connection->fd, envelope, NowMicros() + 1'000'000, nullptr)
+  if (!SendAll(connection->fd, envelope, SteadyMicros() + 1'000'000, nullptr)
            .ok()) {
     shutdown(connection->fd, SHUT_RDWR);
   }

@@ -5,31 +5,17 @@
 #include <thread>
 #include <utility>
 
+#include "common/circuit_breaker.h"
+#include "common/timer.h"
+
 namespace equihist::transport {
-namespace {
-
-std::uint64_t SteadyMicros() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-std::uint64_t RemainingMicros(std::uint64_t deadline_micros) {
-  const std::uint64_t now = SteadyMicros();
-  return now >= deadline_micros ? 0 : deadline_micros - now;
-}
-
-}  // namespace
 
 // Per-peer mutable state, all guarded by the client mutex.
 struct TransportClient::PeerState {
   Peer peer;
   // Idle pooled links; broken ones are discarded, never pooled.
   std::vector<std::unique_ptr<Transport>> pool;
-  // -- Breaker (PR-4 semantics: see StatisticsShard::Options) --------------
-  std::uint64_t consecutive_failures = 0;
-  std::uint64_t open_until = 0;  // breaker-clock micros; 0 = closed
+  CircuitBreaker breaker;
 };
 
 TransportClient::TransportClient(Options options)
@@ -51,32 +37,6 @@ void TransportClient::AddPeer(Peer peer) {
 std::size_t TransportClient::peer_count() const {
   MutexLock lock(mu_);
   return peers_.size();
-}
-
-bool TransportClient::BreakerAdmits(PeerState& peer) {
-  if (peer.open_until == 0) return true;
-  const std::uint64_t clock =
-      options_.clock ? options_.clock() : SteadyMicros();
-  // Cooldown passed: let a probe through (half-open). Success closes the
-  // breaker; failure re-opens it for another cooldown.
-  return clock >= peer.open_until;
-}
-
-void TransportClient::RecordBreakerSuccess(PeerState& peer) {
-  peer.consecutive_failures = 0;
-  peer.open_until = 0;
-}
-
-void TransportClient::RecordBreakerFailure(PeerState& peer) {
-  ++peer.consecutive_failures;
-  if (peer.consecutive_failures < options_.breaker_failure_threshold) return;
-  const std::uint64_t clock =
-      options_.clock ? options_.clock() : SteadyMicros();
-  const bool was_open = peer.open_until != 0 && clock < peer.open_until;
-  peer.open_until = clock + options_.breaker_cooldown_micros;
-  if (!was_open && options_.metrics != nullptr) {
-    options_.metrics->Increment(metrics::Counter::kTransportBreakerOpens);
-  }
 }
 
 Result<std::vector<std::uint8_t>> TransportClient::SingleExchange(
@@ -121,7 +81,7 @@ Result<std::vector<std::uint8_t>> TransportClient::Attempt(
     }
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t candidate = (next_peer_ + i) % n;
-      if (BreakerAdmits(*peers_[candidate])) {
+      if (!peers_[candidate]->breaker.IsOpen(options_.clock)) {
         peer_index = candidate;
         break;
       }
@@ -146,10 +106,15 @@ Result<std::vector<std::uint8_t>> TransportClient::Attempt(
   MutexLock lock(mu_);
   PeerState& peer = *peers_[peer_index];
   if (result.ok()) {
-    RecordBreakerSuccess(peer);
+    peer.breaker.RecordSuccess();
   } else if (result.status().code() == StatusCode::kUnavailable ||
              result.status().code() == StatusCode::kDeadlineExceeded) {
-    RecordBreakerFailure(peer);
+    const bool opened = peer.breaker.RecordFailure(
+        options_.clock, options_.breaker_failure_threshold,
+        options_.breaker_cooldown_micros);
+    if (opened && options_.metrics != nullptr) {
+      options_.metrics->Increment(metrics::Counter::kTransportBreakerOpens);
+    }
   }
   return result;
 }

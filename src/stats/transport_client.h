@@ -31,7 +31,7 @@ namespace equihist::transport {
 //                (common/retry.h): transport failures are correlated
 //                across clients, so un-jittered backoff would stampede a
 //                recovering peer.
-//   breakers   — per peer, the PR-4 state machine (N consecutive
+//   breakers   — per peer, common/circuit_breaker.h (N consecutive
 //                failures open it; after a cooldown one probe passes
 //                half-open; success closes). Open peers are skipped;
 //                with every breaker open the call fast-fails
@@ -67,7 +67,7 @@ class TransportClient {
     // *transient* failure — the next attempt may land on a healthier
     // connection.
     std::uint64_t attempt_timeout_micros = 0;
-    // Per-peer circuit breaker (PR-4 semantics).
+    // Per-peer circuit breaker (common/circuit_breaker.h).
     std::uint64_t breaker_failure_threshold = 3;
     std::uint64_t breaker_cooldown_micros = 1'000'000;
     // Monotonic microsecond clock driving breaker cooldowns; null uses
@@ -111,11 +111,6 @@ class TransportClient {
 
  private:
   struct PeerState;
-
-  // Breaker admission for `peer` (closed or half-open probe allowed).
-  bool BreakerAdmits(PeerState& peer) REQUIRES(mu_);
-  void RecordBreakerSuccess(PeerState& peer) REQUIRES(mu_);
-  void RecordBreakerFailure(PeerState& peer) REQUIRES(mu_);
 
   // One attempt: picks the next peer whose breaker admits it, runs one
   // exchange on the caller's thread bounded by `deadline_abs`, and

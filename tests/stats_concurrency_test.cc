@@ -224,22 +224,15 @@ TEST(StatsConcurrencyTest, BatchServingMatchesScalarAtAnyThreadCount) {
     ASSERT_TRUE(estimate.ok());
     scalar[i] = *estimate;
   }
-  // Sequential and pooled batch paths agree with the scalar path bitwise.
-  std::vector<double> batch(queries.size(), -1.0);
-  ASSERT_TRUE(manager
-                  .EstimateRanges("col", table, queries, batch,
-                                  /*use_pool=*/false)
-                  .ok());
-  EXPECT_EQ(batch, scalar);
-  std::fill(batch.begin(), batch.end(), -1.0);
-  ASSERT_TRUE(manager
-                  .EstimateRanges("col", table, queries, batch,
-                                  /*use_pool=*/true)
-                  .ok());
-  EXPECT_EQ(batch, scalar);
-  // An undersized output span is rejected, not overrun.
-  std::vector<double> small(queries.size() - 1);
-  EXPECT_FALSE(manager.EstimateRanges("col", table, queries, small).ok());
+  // Sequential and pooled one-column batches agree with the scalar path
+  // bitwise.
+  std::vector<BatchEstimateRequest> requests;
+  for (const RangeQuery& query : queries) requests.push_back({"col", query});
+  for (const bool use_pool : {false, true}) {
+    BatchEstimateResult batch;
+    ASSERT_TRUE(manager.EstimateBatch(table, requests, &batch, use_pool).ok());
+    EXPECT_EQ(batch.estimates, scalar) << "use_pool=" << use_pool;
+  }
 }
 
 TEST(StatsConcurrencyTest, ConcurrentServingDuringRebuildsAndDrops) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/density.h"
 #include "data/distribution.h"
 #include "data/value_set.h"
@@ -294,6 +296,35 @@ TEST(StatisticsManagerTest, PublishConsumesOnlyCapturedModifications) {
   ASSERT_TRUE(manager.IsStale("t.x"));
   ASSERT_TRUE(manager.EnsureFresh("t.x", table).ok());
   EXPECT_FALSE(manager.IsStale("t.x"));
+}
+
+// Regression: a Drop that lands while the serving path's first build of a
+// column is running used to send the resolver round a bounded retry loop;
+// a Drop winning every round ended the estimate with kInternal. The
+// resolver now serves the snapshot its own build returned, uncached.
+TEST(StatisticsManagerTest, EstimateServesItsBuildWhenADropRacesIt) {
+  RegisterMidBuildHookBackendOnce();
+  Table table = SkewedTable();
+  StatisticsManager::Options options;
+  options.buckets = 16;
+  options.f = 0.2;
+  options.threads = 1;
+  options.column_backends["t.x"] = kMidBuildHookId;
+  StatisticsManager manager(options);
+  MidBuildHook() = [&manager] { manager.Drop("t.x"); };
+  const RangeQuery everything{std::numeric_limits<Value>::min(),
+                              std::numeric_limits<Value>::max()};
+  const auto estimate = manager.EstimateRange("t.x", table, everything);
+  MidBuildHook() = nullptr;
+  ASSERT_TRUE(estimate.ok()) << estimate.status().ToString();
+  EXPECT_EQ(*estimate, static_cast<double>(table.tuple_count()));
+  EXPECT_EQ(manager.rebuild_count(), 1u);
+  EXPECT_FALSE(manager.Has("t.x"));
+  // Nothing was cached for the dropped column: the next estimate resolves
+  // through the map, builds once more, and later ones hit the cache.
+  ASSERT_TRUE(manager.EstimateRange("t.x", table, everything).ok());
+  ASSERT_TRUE(manager.EstimateRange("t.x", table, everything).ok());
+  EXPECT_EQ(manager.rebuild_count(), 2u);
 }
 
 }  // namespace

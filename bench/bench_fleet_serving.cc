@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
   for (const std::uint64_t shards : kShardSweep) {
     StatisticsFleet fleet({.shards = shards,
                            .shard = ShardOptions(scale),
-                           .scheduler = {.max_inflight = 1, .threads = 2}});
+                           .scheduler = {.max_inflight = 1}});
     if (!fleet.BuildAll(columns, dataset.table).ok()) {
       std::cerr << "fleet BuildAll failed (shards=" << shards << ")\n";
       return 1;

@@ -10,10 +10,10 @@
 //   mode 1 — the streaming path: the bytes are written into a socketpair
 //            and RecvEnvelopePayload reads them back under a real
 //            deadline — the exact server framing path (varint length
-//            prefix, the 1 MiB admission cap, bounded reads). Whatever
-//            arrives, the call must return a typed Status within the
-//            deadline; a received payload must byte-match what the
-//            length prefix framed.
+//            prefix, the kMaxEnvelopeBytes admission cap, bounded
+//            reads). Whatever arrives, the call must return a typed
+//            Status within the deadline; a received payload must
+//            byte-match what the length prefix framed.
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -86,8 +86,8 @@ void FuzzRecvStream(std::span<const std::uint8_t> bytes) {
   shutdown(fds[1], SHUT_WR);  // EOF after the fuzz bytes
 
   const std::uint64_t deadline = NowMicros() + 200'000;
-  const auto payload = equihist::transport::RecvEnvelopePayload(
-      fds[0], /*max_frame_bytes=*/1 << 20, deadline, nullptr);
+  const auto payload =
+      equihist::transport::RecvEnvelopePayload(fds[0], deadline, nullptr);
   FUZZ_CHECK(NowMicros() <= deadline + 1'000'000,
              "RecvEnvelopePayload overran its deadline");
   if (payload.ok()) {
@@ -98,6 +98,9 @@ void FuzzRecvStream(std::span<const std::uint8_t> bytes) {
     const auto length = reader.Varint();
     FUZZ_CHECK(length.ok() && *length == payload->size(),
                "received payload disagrees with the length prefix");
+    FUZZ_CHECK(!payload->empty() &&
+                   payload->size() <= equihist::transport::kMaxEnvelopeBytes,
+               "received payload escaped the envelope length cap");
     FUZZ_CHECK(std::equal(payload->begin(), payload->end(),
                           bytes.begin() +
                               static_cast<std::ptrdiff_t>(reader.position())),

@@ -117,10 +117,9 @@ Result<std::vector<PlanChoice>> ChooseAccessPaths(
     StatisticsShard& shard, const Table& table,
     std::span<const BatchEstimateRequest> requests,
     std::uint32_t tuples_per_page, std::uint32_t index_entries_per_leaf,
-    const CostModel& cost_model, bool use_pool) {
+    const CostModel& cost_model) {
   BatchEstimateResult estimates;
-  EQUIHIST_RETURN_IF_ERROR(
-      shard.EstimateBatch(table, requests, &estimates, use_pool));
+  EQUIHIST_RETURN_IF_ERROR(shard.EstimateBatch(table, requests, &estimates));
   return ChooseFromEstimates(estimates.estimates, table.page_count(),
                              tuples_per_page, index_entries_per_leaf,
                              cost_model);

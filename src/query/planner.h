@@ -92,11 +92,11 @@ Result<std::vector<PlanChoice>> ChooseAccessPaths(
     StatisticsShard& shard, const Table& table,
     std::span<const BatchEstimateRequest> requests,
     std::uint32_t tuples_per_page, std::uint32_t index_entries_per_leaf = 512,
-    const CostModel& cost_model = CostModel{}, bool use_pool = false);
+    const CostModel& cost_model = CostModel{});
 
-// Fleet variant: the predicate list routes through the fleet's
-// cross-shard batch front-end (counting-sort partition + per-shard
-// coalescing), bitwise the single-shard overload's choices.
+// Fleet variant: the predicate list routes through the fleet's batch
+// front-end (the shard's column grouping, each column resolved on its
+// owning shard), bitwise the single-shard overload's choices.
 Result<std::vector<PlanChoice>> ChooseAccessPaths(
     StatisticsFleet& fleet, const Table& table,
     std::span<const BatchEstimateRequest> requests,

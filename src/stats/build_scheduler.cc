@@ -8,12 +8,9 @@ namespace equihist {
 
 BuildScheduler::BuildScheduler(const Options& options,
                                metrics::MetricsPlane* metrics)
-    : options_(options), metrics_(metrics) {
-  const std::size_t threads = ResolveThreadCount(options.threads);
-  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-  MutexLock lock(mu_);
-  paused_ = options.start_paused;
-}
+    : max_inflight_(std::max<std::uint64_t>(options.max_inflight, 1)),
+      metrics_(metrics),
+      pool_(std::make_unique<ThreadPool>(max_inflight_ + 1)) {}
 
 BuildScheduler::~BuildScheduler() {
   {
@@ -174,8 +171,6 @@ void BuildScheduler::UpdateGaugesLocked() {
 }
 
 void BuildScheduler::Pump() {
-  const std::uint64_t max_inflight = std::max<std::uint64_t>(
-      options_.max_inflight, 1);
   {
     MutexLock lock(mu_);
     if (pumping_) return;  // the active pumper will see any new work
@@ -185,7 +180,7 @@ void BuildScheduler::Pump() {
     Request next;
     {
       MutexLock lock(mu_);
-      if (stopping_ || paused_ || inflight_ >= max_inflight ||
+      if (stopping_ || paused_ || inflight_ >= max_inflight_ ||
           QueueEmptyLocked()) {
         pumping_ = false;
         idle_cv_.NotifyAll();  // the destructor may be waiting on !pumping_
@@ -201,13 +196,7 @@ void BuildScheduler::Pump() {
       Status status = build ? build() : Status::OK();
       OnBuildDone(table, column, std::move(status));
     };
-    if (pool_ != nullptr) {
-      pool_->Submit(std::move(task));
-    } else {
-      // Inline mode: the build runs here, and its OnBuildDone → Pump()
-      // re-entry bounces off `pumping_` — this loop is the sole admitter.
-      task();
-    }
+    pool_->Submit(std::move(task));
   }
 }
 

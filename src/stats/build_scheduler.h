@@ -33,32 +33,25 @@ namespace equihist {
 //      table's refreshes of equal urgency.
 //   3. DML pressure within a table — highest modified-fraction first.
 //
-// Admission: at most `max_inflight` builds run at once on the scheduler's
-// ThreadPool (PR 1); the rest wait in the queue. Re-requesting a build
+// Admission: at most `max_inflight` builds run at once, on a ThreadPool
+// with exactly that many workers; the rest wait in the queue. Re-requesting a build
 // that is still queued coalesces into the queued entry (severity and
 // pressure are raised to the max of the two) instead of queueing twice; a
 // build that is already *running* does not absorb new requests — the new
 // request queues behind it, because the running build may not reflect the
 // DML that motivated the re-request.
 //
-// Concurrency: every entry point is thread-safe. Completion callbacks run
-// on pool threads (or inline on the enqueueing thread when threads == 1,
-// which degenerates the scheduler into a deterministic synchronous
-// dispatcher — exactly what the priority-order tests pin down).
+// Concurrency: every entry point is thread-safe. Builds and their
+// completion callbacks always run on pool workers, never on the
+// enqueueing thread. With max_inflight == 1 one worker runs the builds
+// one at a time in priority order — what the priority-order tests pin
+// down by staging a wave with Pause() and releasing it with Resume().
 class BuildScheduler {
  public:
   struct Options {
-    // Admission budget: builds running concurrently. Values < 1 are
-    // treated as 1.
+    // Admission budget: builds running concurrently, and the number of
+    // pool workers that run them. Values < 1 are treated as 1.
     std::uint64_t max_inflight = 2;
-    // Scheduler pool size (including the dispatching caller, like
-    // ThreadPool): 1 runs every build inline on the thread that frees the
-    // admission slot — fully deterministic, no thread is ever created.
-    std::uint64_t threads = 2;
-    // Start with dispatch suspended; builds queue until Resume(). Lets a
-    // caller stage a whole workload and then release it in one
-    // priority-ordered wave (and makes dispatch order testable).
-    bool start_paused = false;
   };
 
   // One build request. `build` is the work itself (typically a bound
@@ -88,7 +81,8 @@ class BuildScheduler {
   void Enqueue(Request request) EXCLUDES(mu_);
 
   // Suspends dispatch after the currently inflight builds; queued work
-  // waits. Resume() restarts dispatch and pumps.
+  // waits. Resume() restarts dispatch and pumps. Pause() before the first
+  // Enqueue stages a whole workload for one priority-ordered wave.
   void Pause() EXCLUDES(mu_);
   void Resume() EXCLUDES(mu_);
 
@@ -137,15 +131,17 @@ class BuildScheduler {
   bool TryCoalesceLocked(Request& request) REQUIRES(mu_);
   void UpdateGaugesLocked() REQUIRES(mu_);
   // The admission loop: admits requests while slots are free. Exactly one
-  // thread pumps at a time (`pumping_`), which keeps inline pools from
-  // recursing and bounds everyone else's Enqueue latency.
+  // thread pumps at a time (`pumping_`), which bounds everyone else's
+  // Enqueue latency.
   void Pump() EXCLUDES(mu_);
   void OnBuildDone(const std::string& table, const std::string& column,
                    Status status) EXCLUDES(mu_);
 
-  const Options options_;
+  const std::uint64_t max_inflight_;      // >= 1
   metrics::MetricsPlane* const metrics_;  // may be null
-  std::unique_ptr<ThreadPool> pool_;      // null when threads <= 1 (inline)
+  // max_inflight_ workers (ThreadPool(n) counts the caller as one of n,
+  // but Submit never runs a task on the caller).
+  std::unique_ptr<ThreadPool> pool_;
   mutable Mutex mu_{lockrank::kBuildScheduler};
   CondVar idle_cv_;
   std::array<ClassQueue, kClasses> classes_ GUARDED_BY(mu_);

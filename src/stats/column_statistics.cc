@@ -236,12 +236,13 @@ std::string ColumnStatistics::ToString() const {
 
 Result<ColumnStatistics> BuildStatisticsFullScan(const Table& table,
                                                  std::uint64_t buckets,
-                                                 ThreadPool* pool) {
+                                                 ThreadPool* pool,
+                                                 const RetryPolicy& retry) {
   IoStats io;
   // Fault-aware scan: transient faults retried, permanent ones surface as
   // typed errors the StatisticsManager's degraded-serving layer absorbs.
   EQUIHIST_ASSIGN_OR_RETURN(std::vector<Value> values,
-                            FullScanChecked(table, &io, pool));
+                            FullScanChecked(table, &io, pool, retry));
   // Pre-sort in parallel; the ValueSet constructor then detects sorted
   // input and skips its own sequential sort.
   ParallelSort(values, pool);
@@ -293,7 +294,8 @@ Result<ColumnStatistics> BuildStatisticsWithBackend(
     // The paper's own pipeline, untouched: CVB for sampled builds, the
     // exact sort for full scans.
     if (!options.prefer_sampling) {
-      return BuildStatisticsFullScan(table, options.buckets, pool);
+      return BuildStatisticsFullScan(table, options.buckets, pool,
+                                     options.retry);
     }
     CvbOptions cvb;
     cvb.k = options.buckets;

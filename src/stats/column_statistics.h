@@ -8,6 +8,7 @@
 #include <span>
 
 #include "common/result.h"
+#include "common/retry.h"
 #include "core/compiled_estimator.h"
 #include "core/compressed_histogram.h"
 #include "core/cvb.h"
@@ -94,10 +95,10 @@ struct ColumnStatistics {
 // Builds exact statistics with a full scan and sort (the expensive
 // baseline the sampling path avoids). The I/O bill is recorded. With a
 // pool, the scan and the sort both run parallel; the result is identical
-// for any thread count.
-Result<ColumnStatistics> BuildStatisticsFullScan(const Table& table,
-                                                 std::uint64_t buckets,
-                                                 ThreadPool* pool = nullptr);
+// for any thread count. Transient page faults are retried per `retry`.
+Result<ColumnStatistics> BuildStatisticsFullScan(
+    const Table& table, std::uint64_t buckets, ThreadPool* pool = nullptr,
+    const RetryPolicy& retry = {});
 
 // Builds approximate statistics with the adaptive CVB algorithm plus the
 // paper's distinct-value estimator over the accumulated sample. `pool`

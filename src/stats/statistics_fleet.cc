@@ -40,55 +40,10 @@ Status StatisticsFleet::EstimateBatch(
   metrics_.Increment(metrics::Counter::kEstimateBatches);
   metrics_.Increment(metrics::Counter::kEstimateQueries, requests.size());
   metrics_.Observe(metrics::Hist::kEstimateBatchSize, requests.size());
-  result->estimates.assign(requests.size(), 0.0);
-  if (requests.empty()) return Status::OK();
-  if (shards_.size() == 1) {
-    return shards_[0]->EstimateBatch(table, requests, result);
-  }
-  return EstimateBatchPartitioned(table, requests, result);
-}
-
-Status StatisticsFleet::EstimateBatchPartitioned(
-    const Table& table, std::span<const BatchEstimateRequest> requests,
-    BatchEstimateResult* result) {
-  const std::size_t n = requests.size();
-  const std::size_t num_shards = shards_.size();
-  // Counting sort by owning shard: count, prefix-sum into offsets, gather
-  // — the same grouping idiom the shard applies per column, one level up.
-  std::vector<std::size_t> shard_of(n);
-  std::vector<std::size_t> counts(num_shards, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    shard_of[i] = ShardIndex(requests[i].column);
-    ++counts[shard_of[i]];
-  }
-  std::vector<std::size_t> offsets(num_shards + 1, 0);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    offsets[s + 1] = offsets[s] + counts[s];
-  }
-  std::vector<BatchEstimateRequest> gathered(n);
-  std::vector<std::size_t> original_index(n);
-  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t slot = cursor[shard_of[i]]++;
-    gathered[slot] = requests[i];
-    original_index[slot] = i;
-  }
-  std::vector<double> answers(n, 0.0);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    const std::size_t begin = offsets[s];
-    const std::size_t count = offsets[s + 1] - begin;
-    if (count == 0) continue;
-    const std::span<const BatchEstimateRequest> sub(&gathered[begin], count);
-    BatchEstimateResult sub_result;
-    EQUIHIST_RETURN_IF_ERROR(
-        shards_[s]->EstimateBatch(table, sub, &sub_result));
-    std::copy(sub_result.estimates.begin(), sub_result.estimates.end(),
-              answers.begin() + static_cast<std::ptrdiff_t>(begin));
-  }
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    result->estimates[original_index[slot]] = answers[slot];
-  }
-  return Status::OK();
+  return StatisticsShard::EstimateBatchAcross(
+      table, requests, result, [this](const std::string& column) {
+        return shards_[ShardIndex(column)].get();
+      });
 }
 
 Result<const ColumnStatistics*> StatisticsFleet::EnsureFresh(

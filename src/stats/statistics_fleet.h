@@ -24,9 +24,9 @@ namespace equihist {
 // never touch the same mutex.
 //
 // On top of the shards the fleet adds:
-//   - a batched front-end: EstimateBatch partitions a mixed-column batch
-//     across shards with a counting sort and calls each owning shard's
-//     EstimateBatch once with its contiguous sub-batch;
+//   - a batched front-end: EstimateBatch groups a mixed-column batch by
+//     column, resolves each column once on its owning shard, and answers
+//     the whole batch from that one consistent cut;
 //   - an async BuildScheduler with priority admission (degraded > stale >
 //     fresh, then DML pressure) on the PR-1 ThreadPool;
 //   - the fleetwire frame protocol (ServeFrame) for estimate and
@@ -64,12 +64,13 @@ class StatisticsFleet {
   Result<double> EstimateRange(const std::string& column, const Table& table,
                                const RangeQuery& query);
 
-  // Cross-shard batch: requests are counting-sorted by owning shard,
-  // gathered into per-shard contiguous sub-batches, served by one
-  // EstimateBatch call per shard, and scattered back into request order.
-  // A single-shard fleet hands the batch straight to its shard.
-  // Same contract as StatisticsShard::EstimateBatch, including the
-  // first-error behavior.
+  // Cross-shard batch: the same grouping routine as
+  // StatisticsShard::EstimateBatch, with each column resolved through
+  // its owning shard's serving cache. Every column's snapshot is pinned
+  // before any estimate runs, so the answers are one consistent cut
+  // across shards. Same contract as StatisticsShard::EstimateBatch,
+  // including the first-error behavior; each shard the batch touches
+  // counts it once, with its share of the requests.
   Status EstimateBatch(const Table& table,
                        std::span<const BatchEstimateRequest> requests,
                        BatchEstimateResult* result);
@@ -117,10 +118,6 @@ class StatisticsFleet {
   std::string MetricsJson() const;
 
  private:
-  Status EstimateBatchPartitioned(
-      const Table& table, std::span<const BatchEstimateRequest> requests,
-      BatchEstimateResult* result);
-
   metrics::MetricsPlane metrics_;  // fleet-level: batches, wire, scheduler
   std::vector<std::unique_ptr<StatisticsShard>> shards_;
   std::unique_ptr<BuildScheduler> scheduler_;

@@ -1,8 +1,10 @@
 #include "stats/statistics_shard.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "stats/histogram_backends.h"
 #include "stats/incremental_backend.h"
@@ -34,6 +36,12 @@ std::shared_ptr<const ColumnStatistics> MakeFallbackSnapshot(
   return std::make_shared<const ColumnStatistics>(std::move(stats));
 }
 
+// Counted-replacement deletes vacate reservoir slots without refilling
+// them; once the fill fraction drops below this floor the quantiles are
+// too coarse to repair against and the refresh falls back to a full
+// rebuild.
+constexpr double kReservoirMinFill = 0.25;
+
 // Serving-cache slots kept per thread; old slots are evicted FIFO. The
 // cache is a linear-scan vector: with realistically few hot (manager,
 // column) pairs per thread this beats any hashed structure.
@@ -46,17 +54,9 @@ std::uint64_t NextShardId() {
 
 }  // namespace
 
-// FNV-1a: a platform-stable column-name hash, so per-column seed streams
-// are reproducible everywhere (std::hash is implementation-defined). At
-// namespace scope because the fleet routes columns to shards with the
-// same hash (stats/statistics_fleet.cc).
 std::uint64_t HashColumnName(const std::string& column) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : column) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+  return Fnv1a64(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(column.data()), column.size()));
 }
 
 StatisticsShard::StatisticsShard(const Options& options)
@@ -258,9 +258,7 @@ StatisticsShard::TryRefreshIncremental(
     if (m.opaque_modifications != 0) return nullptr;
     const BackingReservoir& backing = m.live->backing_sample();
     if (backing.population() == 0 || backing.size() == 0) return nullptr;
-    // Counted-replacement deletes drain the reservoir without refilling
-    // it; below the fill floor its quantiles are too coarse to trust.
-    if (backing.fill_fraction() < options_.reservoir_min_fill) return nullptr;
+    if (backing.fill_fraction() < kReservoirMinFill) return nullptr;
     // Repair budget: past this much absorbed DML (relative to the live row
     // count) the accumulated drift calls for a reseed from the table.
     if (static_cast<double>(backing.ops_since_seed()) >
@@ -629,86 +627,95 @@ Result<double> StatisticsShard::EstimateRange(const std::string& column,
 
 Status StatisticsShard::EstimateBatch(
     const Table& table, std::span<const BatchEstimateRequest> requests,
-    BatchEstimateResult* result, bool use_pool) {
+    BatchEstimateResult* result) {
+  return EstimateBatchAcross(table, requests, result,
+                             [this](const std::string&) { return this; });
+}
+
+Status StatisticsShard::EstimateBatchAcross(
+    const Table& table, std::span<const BatchEstimateRequest> requests,
+    BatchEstimateResult* result,
+    const std::function<StatisticsShard*(const std::string&)>& owner) {
   if (result == nullptr) {
     return Status::InvalidArgument("null batch result");
   }
   const std::size_t n = requests.size();
   result->estimates.assign(n, 0.0);
   if (n == 0) return Status::OK();
-  metrics_.Increment(metrics::Counter::kEstimateBatches);
-  metrics_.Increment(metrics::Counter::kEstimateQueries, n);
-  metrics_.Observe(metrics::Hist::kEstimateBatchSize, n);
-  // Group the interleaved requests by column, resolving each distinct
-  // column's serving model exactly once through the lock-free cache. The
-  // returned shared_ptr pins the snapshot for the rest of the batch, so a
-  // concurrent rebuild cannot pull it out from under the later
-  // estimation pass.
-  //
-  // A predicate list names a handful of columns, so the group table is a
-  // flat linear-scanned vector, and the per-group query lists live in one
-  // shared gather buffer (counting-sort layout) — the whole batch costs a
-  // fixed number of allocations regardless of column interleaving.
+  // Group the interleaved requests by column. A predicate list names a
+  // handful of columns, so the group table is a flat linear-scanned
+  // vector, and the per-group query lists live in one shared gather
+  // buffer (counting-sort layout) — the whole batch costs a fixed number
+  // of allocations regardless of column interleaving or shard count.
   struct ColumnGroup {
     const std::string* column = nullptr;  // borrowed from requests[]
+    StatisticsShard* shard = nullptr;     // the column's owner
     HistogramModelPtr model;
     std::size_t count = 0;
-    std::size_t offset = 0;
+    std::size_t offset = 0;  // the group's run in the gather buffers
+    std::size_t filled = 0;
   };
   std::vector<ColumnGroup> groups;
-  std::vector<std::size_t> group_of(n);
+  // slot[i]: the group of requests[i], then its place in the gather buffer.
+  std::vector<std::size_t> slot(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t g = 0;
     while (g < groups.size() && *groups[g].column != requests[i].column) ++g;
     if (g == groups.size()) {
-      EQUIHIST_ASSIGN_OR_RETURN(HistogramModelPtr model,
-                                ServingModel(requests[i].column, table));
       groups.push_back(
-          ColumnGroup{&requests[i].column, std::move(model), 0, 0});
+          ColumnGroup{&requests[i].column, owner(requests[i].column),
+                      nullptr, 0, 0, 0});
     }
     ++groups[g].count;
-    group_of[i] = g;
+    slot[i] = g;
   }
-  ThreadPool* fan_out = use_pool ? pool() : nullptr;
-  // Single-column batch (the common planner case): the grouped layout is
-  // the request order, so estimate straight into the result.
-  if (groups.size() == 1) {
-    std::vector<RangeQuery> queries(n);
-    for (std::size_t i = 0; i < n; ++i) queries[i] = requests[i].query;
-    groups[0].model->EstimateRangeCounts(
-        queries, std::span<double>(result->estimates), fan_out);
-    return Status::OK();
+  // Each shard the batch touches counts it once, with its share of the
+  // requests, before any column resolves.
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    StatisticsShard* shard = groups[g].shard;
+    const auto same_shard = [shard](const ColumnGroup& other) {
+      return other.shard == shard;
+    };
+    if (std::any_of(groups.begin(),
+                    groups.begin() + static_cast<std::ptrdiff_t>(g),
+                    same_shard)) {
+      continue;
+    }
+    std::size_t queries = 0;
+    for (std::size_t h = g; h < groups.size(); ++h) {
+      if (same_shard(groups[h])) queries += groups[h].count;
+    }
+    shard->metrics_.Increment(metrics::Counter::kEstimateBatches);
+    shard->metrics_.Increment(metrics::Counter::kEstimateQueries, queries);
+    shard->metrics_.Observe(metrics::Hist::kEstimateBatchSize, queries);
   }
-  // Multi-column: stable counting sort of the queries into per-group runs
-  // of one shared buffer, one batch estimation per run (all snapshots
-  // pinned above, so the answers are a consistent cut across columns),
-  // then one scatter back to request order.
+  // Resolve every column's serving model through its owner before any
+  // estimate runs. The returned shared_ptrs pin the snapshots for the
+  // rest of the batch, so its answers are a consistent cut: a concurrent
+  // rebuild cannot serve half the list from the old histogram.
   std::size_t offset = 0;
   for (ColumnGroup& group : groups) {
+    EQUIHIST_ASSIGN_OR_RETURN(group.model,
+                              group.shard->ServingModel(*group.column, table));
     group.offset = offset;
     offset += group.count;
   }
+  // Stable counting sort of the queries into per-group runs, one batch
+  // estimation per run, then one scatter back to request order.
   std::vector<RangeQuery> queries(n);
-  std::vector<std::size_t> cursor(groups.size(), 0);
   for (std::size_t i = 0; i < n; ++i) {
-    queries[groups[group_of[i]].offset + cursor[group_of[i]]++] =
-        requests[i].query;
+    ColumnGroup& group = groups[slot[i]];
+    slot[i] = group.offset + group.filled++;
+    queries[slot[i]] = requests[i].query;
   }
-  std::vector<double> scratch(n);
+  std::vector<double> answers(n);
   for (const ColumnGroup& group : groups) {
     group.model->EstimateRangeCounts(
         std::span<const RangeQuery>(queries.data() + group.offset,
                                     group.count),
-        std::span<double>(scratch.data() + group.offset, group.count),
-        fan_out);
+        std::span<double>(answers.data() + group.offset, group.count));
   }
-  // Replaying the cursor walk inverts the counting sort without a
-  // positions side table.
-  std::fill(cursor.begin(), cursor.end(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    result->estimates[i] =
-        scratch[groups[group_of[i]].offset + cursor[group_of[i]]++];
-  }
+  for (std::size_t i = 0; i < n; ++i) result->estimates[i] = answers[slot[i]];
   return Status::OK();
 }
 

@@ -27,9 +27,9 @@
 
 namespace equihist {
 
-// FNV-1a of the column name: platform-stable (std::hash is
-// implementation-defined), it seeds per-column build streams here and
-// routes columns to shards in StatisticsFleet — one hash, both uses.
+// FNV-1a 64 (common/hash.h) of the column name: platform-stable, it seeds
+// per-column build streams here and routes columns to shards in
+// StatisticsFleet — one hash, both uses.
 std::uint64_t HashColumnName(const std::string& column);
 
 // -- Multi-column batch estimation (DESIGN.md §14) ---------------------------
@@ -138,11 +138,6 @@ class StatisticsShard {
     // count; beyond it the accumulated drift calls for a full rebuild
     // (which reseeds the reservoir from a fresh block sample).
     double incremental_repair_budget = 0.5;
-    // Counted-replacement deletes vacate reservoir slots without refilling
-    // them; once the fill fraction drops below this floor the quantiles
-    // are too coarse to repair against and the refresh falls back to a
-    // full rebuild.
-    double reservoir_min_fill = 0.25;
 
     // -- Fault tolerance & degraded serving (DESIGN.md §11) ------------------
 
@@ -233,15 +228,17 @@ class StatisticsShard {
   // Batch variant: the planner hands over an entire predicate list —
   // columns freely interleaved — and gets every estimate back in one
   // call. Each distinct column's snapshot resolves once, exactly like
-  // EstimateRange (first access may build); its queries then run through
-  // the backend's batch path, the compiled estimator on equi-height. With
-  // use_pool, per-column sub-batches shard across the shard's pool;
-  // results are bitwise-identical to EstimateRange at any thread count.
-  // On error (an unbuildable column), estimates already computed are
-  // unspecified and the first failure is returned.
+  // EstimateRange (first access may build), and every snapshot is pinned
+  // before any estimate runs, so the answers are a consistent cut. Each
+  // column's queries then run through the backend's batch path, the
+  // compiled estimator on equi-height; results are bitwise-identical to
+  // EstimateRange. On error (an unbuildable column), estimates are
+  // unspecified and the failure of the first such column in request
+  // order is returned. StatisticsFleet::EstimateBatch runs the same
+  // routine (EstimateBatchAcross) with columns spread over its shards.
   Status EstimateBatch(const Table& table,
                        std::span<const BatchEstimateRequest> requests,
-                       BatchEstimateResult* result, bool use_pool = false);
+                       BatchEstimateResult* result);
 
   // Per-column outcome aggregation of a BuildAll sweep: every column that
   // could be built was; the rest are reported here instead of aborting the
@@ -459,6 +456,20 @@ class StatisticsShard {
   // map into this thread's cache; null when the column is unknown or not
   // yet built.
   HistogramModelPtr CaptureServing(const std::string& column) EXCLUDES(mu_);
+  // The one batch routine behind EstimateBatch here and in
+  // StatisticsFleet: groups `requests` by column, resolves each distinct
+  // column once through ServingModel on the shard `owner` names for it,
+  // runs each group through HistogramModel::EstimateRangeCounts and
+  // scatters the answers back to request order. Every shard the batch
+  // touches counts it in its metrics plane: one kEstimateBatches, its
+  // share of the requests in kEstimateQueries, one kEstimateBatchSize
+  // sample.
+  static Status EstimateBatchAcross(
+      const Table& table, std::span<const BatchEstimateRequest> requests,
+      BatchEstimateResult* result,
+      const std::function<StatisticsShard*(const std::string&)>& owner);
+  friend class StatisticsFleet;
+
   // The one serving resolver behind EstimateRange and EstimateBatch: the
   // thread-cached model while its publication counter holds, else a
   // capture through the entry map — building first on first access. If a

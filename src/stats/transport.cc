@@ -16,6 +16,7 @@
 #include <tuple>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/timer.h"
 #include "stats/fleet_wire.h"
 #include "stats/wire_format.h"
@@ -51,7 +52,7 @@ std::vector<std::uint8_t> EncodeEnvelope(std::uint64_t request_id,
   payload.reserve(frame.size() + 24);
   wire::PutVarint(request_id, &payload);
   if (include_budget) wire::PutVarint(budget_micros, &payload);
-  wire::PutVarint(ChecksumBytes(frame), &payload);
+  wire::PutVarint(Fnv1a64(frame), &payload);
   payload.insert(payload.end(), frame.begin(), frame.end());
   std::vector<std::uint8_t> out;
   out.reserve(payload.size() + 4);
@@ -76,7 +77,7 @@ Result<DecodedEnvelope> DecodeEnvelopePayload(
   envelope.frame.assign(payload.begin() + static_cast<std::ptrdiff_t>(
                                               reader.position()),
                         payload.end());
-  envelope.checksum_ok = ChecksumBytes(envelope.frame) == checksum;
+  envelope.checksum_ok = Fnv1a64(envelope.frame) == checksum;
   return envelope;
 }
 
@@ -183,31 +184,18 @@ Result<std::uint64_t> RecvVarint(int fd, std::uint64_t deadline_micros,
 }  // namespace
 
 // One whole envelope payload off the stream (length prefix consumed and
-// validated against `max_frame_bytes`).
+// validated against kMaxEnvelopeBytes).
 Result<std::vector<std::uint8_t>> RecvEnvelopePayload(
-    int fd, std::size_t max_frame_bytes, std::uint64_t deadline_micros,
-    const std::atomic<bool>* stop) {
+    int fd, std::uint64_t deadline_micros, const std::atomic<bool>* stop) {
   EQUIHIST_ASSIGN_OR_RETURN(const std::uint64_t length,
                             RecvVarint(fd, deadline_micros, stop));
-  if (length == 0 || length > max_frame_bytes) {
+  if (length == 0 || length > kMaxEnvelopeBytes) {
     return Status::Unavailable("transport envelope length out of bounds");
   }
   std::vector<std::uint8_t> payload(static_cast<std::size_t>(length));
   EQUIHIST_RETURN_IF_ERROR(
       RecvExact(fd, payload.data(), payload.size(), deadline_micros, stop));
   return payload;
-}
-
-std::uint64_t ChecksumBytes(std::span<const std::uint8_t> bytes) {
-  // FNV-1a 64: cheap, stateless, and plenty for catching injected or real
-  // single/multi-byte wire damage (this is an integrity check against
-  // accident, not an authenticator).
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
-  for (const std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
 }
 
 // -- InProcessTransport -----------------------------------------------------
@@ -454,7 +442,7 @@ Result<std::vector<std::uint8_t>> SocketTransport::RoundTripLocked(
   // -- Receive leg ----------------------------------------------------------
   while (true) {
     Result<std::vector<std::uint8_t>> payload =
-        RecvEnvelopePayload(fd_, 1 << 20, deadline, nullptr);
+        RecvEnvelopePayload(fd_, deadline, nullptr);
     if (!payload.ok()) {
       // Timeout or stream failure mid-message: the link may still deliver
       // a stale reply later, so it must never be reused.
@@ -638,7 +626,7 @@ void SocketTransportServer::AcceptLoop() {
       MutexLock lock(mu_);
       if (stopping_) return;
       // Reap connections whose reader already exited, so dead links never
-      // count against max_connections.
+      // count against kMaxConnections.
       for (auto it = connections_.begin(); it != connections_.end();) {
         if ((*it)->done.load(std::memory_order_relaxed)) {
           if ((*it)->reader.joinable()) (*it)->reader.join();
@@ -663,7 +651,7 @@ void SocketTransportServer::AcceptLoop() {
     connection->fd = fd;
     {
       MutexLock lock(mu_);
-      if (stopping_ || connections_.size() >= options_.max_connections) {
+      if (stopping_ || connections_.size() >= kMaxConnections) {
         // Over the cap (or racing shutdown): close instead of queueing an
         // unbounded backlog. The client sees a dead link and fails over.
         close(fd);
@@ -703,8 +691,7 @@ void SocketTransportServer::ReaderLoop(std::shared_ptr<Connection> connection) {
     // this reader for at most 30s — Stop()'s shutdown() unblocks it
     // earlier either way.
     Result<std::vector<std::uint8_t>> payload = RecvEnvelopePayload(
-        connection->fd, options_.max_frame_bytes, SteadyMicros() + 30'000'000,
-        nullptr);
+        connection->fd, SteadyMicros() + 30'000'000, nullptr);
     if (!payload.ok()) {
       break;  // EOF, hostile length, or a desynced stream: drop the link
     }

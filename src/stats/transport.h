@@ -2,6 +2,7 @@
 #define EQUIHIST_STATS_TRANSPORT_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -44,14 +45,15 @@ namespace equihist::transport {
 //   varint deadline_budget_us   — request direction only: how much of the
 //                                 client's budget remains, propagated
 //                                 into the server's admission check
-//   varint checksum             — FNV-1a 64 of the frame bytes; separates
+//   varint checksum             — FNV-1a 64 of the frame bytes
+//                                 (common/hash.h); separates
 //                                 wire damage (retryable kUnavailable)
 //                                 from genuinely malformed frames
 //   frame bytes                 — the fleetwire frame, verbatim
 //
 // Every decode runs through the bounds-checked wire::Reader, and
-// total_len is capped (Options::max_frame_bytes) so a hostile or
-// corrupted length prefix can neither over-allocate nor stall a reader.
+// total_len is capped (kMaxEnvelopeBytes) so a hostile or corrupted
+// length prefix can neither over-allocate nor stall a reader.
 //
 // -- Deadlines --------------------------------------------------------------
 //
@@ -60,8 +62,9 @@ namespace equihist::transport {
 // fault class — drop, partition, wedged peer — can block a caller past
 // its deadline. An exhausted budget surfaces as kDeadlineExceeded.
 
-// FNV-1a 64 over a byte span — the envelope checksum.
-std::uint64_t ChecksumBytes(std::span<const std::uint8_t> bytes);
+// Envelope size cap (both directions): the server's reader, the client's
+// receive leg and the fuzz harness all validate total_len against it.
+inline constexpr std::size_t kMaxEnvelopeBytes = 1 << 20;
 
 // -- Envelope codec ---------------------------------------------------------
 //
@@ -91,10 +94,9 @@ Result<DecodedEnvelope> DecodeEnvelopePayload(
 
 // Reads one whole envelope payload off `fd` — the length-prefix leg of
 // the server reader loop and the client receive path (prefix consumed
-// and validated against `max_frame_bytes` before any allocation).
+// and validated against kMaxEnvelopeBytes before any allocation).
 Result<std::vector<std::uint8_t>> RecvEnvelopePayload(
-    int fd, std::size_t max_frame_bytes, std::uint64_t deadline_micros,
-    const std::atomic<bool>* stop);
+    int fd, std::uint64_t deadline_micros, const std::atomic<bool>* stop);
 
 // Where a SocketTransport connects / a SocketTransportServer listens.
 struct Endpoint {
@@ -211,7 +213,7 @@ class SocketTransport final : public Transport {
 // behavior:
 //
 //   - accept thread + one reader thread per connection, capped by
-//     `max_connections` (excess connections are accepted and immediately
+//     kMaxConnections (excess connections are accepted and immediately
 //     closed — cheaper than a SYN backlog of unknowable depth);
 //   - a bounded work queue between readers and `workers` serving
 //     threads. On overflow the queue sheds the entry with the OLDEST
@@ -229,16 +231,15 @@ class SocketTransport final : public Transport {
 // legs.
 class SocketTransportServer {
  public:
+  // Concurrent connections before new ones are turned away.
+  static constexpr std::size_t kMaxConnections = 32;
+
   struct Options {
     Endpoint endpoint{};
     // Serving threads draining the work queue.
     std::size_t workers = 2;
     // Work items admitted before shedding starts.
     std::size_t queue_capacity = 64;
-    // Concurrent connections before new ones are turned away.
-    std::size_t max_connections = 32;
-    // Envelope size cap (both directions).
-    std::size_t max_frame_bytes = 1 << 20;
     // Optional chaos hooks; must outlive the server.
     LinkFaultInjector* injector = nullptr;
     // Optional transport metrics plane; must outlive the server.

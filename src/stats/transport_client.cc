@@ -20,10 +20,7 @@ struct TransportClient::PeerState {
 
 TransportClient::TransportClient(Options options)
     : options_(std::move(options)),
-      jitter_rng_(DeriveStreamSeed(options_.jitter_seed, 0x7261775F6C6B74ULL)) {
-  if (options_.retry_jitter < 0.0) options_.retry_jitter = 0.0;
-  if (options_.retry_jitter > 1.0) options_.retry_jitter = 1.0;
-}
+      jitter_rng_(DeriveStreamSeed(options_.jitter_seed, 0x7261775F6C6B74ULL)) {}
 
 TransportClient::~TransportClient() = default;
 
@@ -125,9 +122,8 @@ Result<std::vector<std::uint8_t>> TransportClient::Call(
   if (options_.metrics != nullptr) {
     options_.metrics->Increment(metrics::Counter::kTransportRequests);
   }
-  const std::uint64_t budget = deadline_micros != 0
-                                   ? deadline_micros
-                                   : options_.default_deadline_micros;
+  const std::uint64_t budget =
+      deadline_micros != 0 ? deadline_micros : kDefaultDeadlineMicros;
   const std::uint64_t deadline_abs = SteadyMicros() + budget;
   const std::uint32_t attempts =
       idempotent ? options_.retry.EffectiveAttempts() : 1;
@@ -150,8 +146,7 @@ Result<std::vector<std::uint8_t>> TransportClient::Call(
         bits = jitter_rng_.Next();
       }
       const std::uint64_t backoff = std::min(
-          JitteredBackoffMicros(options_.retry, attempt,
-                                options_.retry_jitter, bits),
+          JitteredBackoffMicros(options_.retry, attempt, kRetryJitter, bits),
           RemainingMicros(deadline_abs));
       if (backoff > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(backoff));

@@ -45,6 +45,11 @@ namespace equihist::transport {
 // fault class can wedge a caller thread.
 class TransportClient {
  public:
+  // Backoff jitter fraction in [0, 1].
+  static constexpr double kRetryJitter = 0.25;
+  // Budget when Call is given none.
+  static constexpr std::uint64_t kDefaultDeadlineMicros = 1'000'000;
+
   // One server the client can reach. `connect` dials a fresh link within
   // the given budget; the client pools returned links per peer and
   // discards broken ones.
@@ -56,12 +61,9 @@ class TransportClient {
   struct Options {
     // Retry schedule for idempotent calls (attempts include the first).
     RetryPolicy retry{};
-    // Backoff jitter fraction in [0, 1] and the seed of its random
-    // stream (deterministic per client).
-    double retry_jitter = 0.25;
+    // Seed of the backoff-jitter random stream (deterministic per
+    // client).
     std::uint64_t jitter_seed = 0;
-    // Budget when Call is given none.
-    std::uint64_t default_deadline_micros = 1'000'000;
     // Cap per attempt (0 = whatever remains of the call budget). With a
     // cap, an attempt that times out while overall budget remains is a
     // *transient* failure — the next attempt may land on a healthier
@@ -87,9 +89,9 @@ class TransportClient {
   std::size_t peer_count() const;
 
   // Sends one fleetwire request frame and returns the response frame.
-  // `idempotent` gates retries: estimate and metrics reads
-  // are; build-control mutations are not (a retried kRecordModifications
-  // would double-count). `deadline_micros` of 0 uses the default budget.
+  // `idempotent` gates retries: estimate and metrics reads are;
+  // build-control mutations are not (a retried kRecordModifications would
+  // double-count). `deadline_micros` of 0 uses kDefaultDeadlineMicros.
   // Rejection frames come back as their carried Status, never as bytes.
   Result<std::vector<std::uint8_t>> Call(std::span<const std::uint8_t> frame,
                                          bool idempotent,
@@ -126,7 +128,7 @@ class TransportClient {
                                                    std::uint64_t deadline_abs)
       EXCLUDES(mu_);
 
-  Options options_;
+  const Options options_;
 
   mutable Mutex mu_{lockrank::kTransportClient};
   std::vector<std::unique_ptr<PeerState>> peers_ GUARDED_BY(mu_);

@@ -453,6 +453,35 @@ TEST(DegradedServingTest, TransientOutageHealsAcrossRebuildAttempts) {
   EXPECT_EQ(manager.Health("t.x").consecutive_build_failures, 0u);
 }
 
+TEST(DegradedServingTest, FullScanBuildsHonorTheRetryPolicy) {
+  // Every page fails 4 reads before healing. A 6-attempt policy rides
+  // that out on the sampled path and on the full-scan path alike: the
+  // shard's retry option reaches every build, not just the sampled ones.
+  for (const bool prefer_sampling : {true, false}) {
+    SCOPED_TRACE(prefer_sampling ? "sampled" : "full scan");
+    Table table = MakeTable(2400);
+    FaultSpec spec;
+    spec.transient_probability = 1.0;
+    spec.transient_failures_per_page = 4;
+    FaultInjector injector(spec);
+    table.set_fault_injector(&injector);
+    StatisticsManager::Options options;
+    options.buckets = 16;
+    options.f = 0.2;
+    options.threads = 1;
+    options.prefer_sampling = prefer_sampling;
+    options.retry.max_attempts = 6;
+    StatisticsManager manager(options);
+    const auto stats = manager.GetOrBuildShared("t.x", table);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ((*stats)->from_full_scan, !prefer_sampling);
+    const auto health = manager.Health("t.x");
+    EXPECT_EQ(health.health, ColumnHealth::kFresh);
+    EXPECT_FALSE(health.serving_fallback);
+    EXPECT_TRUE(health.last_error.ok()) << health.last_error;
+  }
+}
+
 // -- Incremental maintenance under faults (DESIGN.md §15) ---------------------
 
 StatisticsManager::Options IncrementalFaultOptions() {

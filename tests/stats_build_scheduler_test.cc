@@ -1,14 +1,16 @@
 // BuildScheduler tests: deterministic priority admission (degraded >
 // stale > fresh, per-table round-robin, DML pressure), request
-// coalescing, the max-inflight budget under a real pool, failure
-// aggregation, and shutdown discipline. Determinism comes from
-// {threads = 1, start_paused = true}: dispatch happens inline on the
-// resuming thread, so execution order IS the queue's priority order.
+// coalescing, the max-inflight budget (a bound, and under the defaults
+// really reached), failure aggregation, and shutdown discipline.
+// Determinism comes from {max_inflight = 1} plus Pause() before the first
+// Enqueue: the wave is staged whole, and the one worker runs it one build
+// at a time, so execution order IS the queue's priority order.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -45,13 +47,20 @@ std::string Key(const char* prefix, int i) {
   return key;
 }
 
-BuildScheduler::Options Inline() {
-  return {.max_inflight = 1, .threads = 1, .start_paused = true};
+// A one-worker scheduler with dispatch paused: enqueue a wave, then
+// Resume() and Drain().
+std::unique_ptr<BuildScheduler> Staged(
+    metrics::MetricsPlane* plane = nullptr) {
+  auto scheduler = std::make_unique<BuildScheduler>(
+      BuildScheduler::Options{.max_inflight = 1}, plane);
+  scheduler->Pause();
+  return scheduler;
 }
 
 TEST(BuildSchedulerTest, DegradedBeatsStaleBeatsFreshDeterministically) {
   OrderLog log;
-  BuildScheduler scheduler(Inline());
+  const auto staged = Staged();
+  BuildScheduler& scheduler = *staged;
   // Enqueued deliberately in worst-case order: fresh first.
   scheduler.Enqueue({"t", "fresh1", ColumnHealth::kFresh, 0.0,
                      log.Build("fresh1")});
@@ -79,7 +88,8 @@ TEST(BuildSchedulerTest, DegradedBeatsStaleBeatsFreshDeterministically) {
 
 TEST(BuildSchedulerTest, TablesTakeRoundRobinTurnsWithinAClass) {
   OrderLog log;
-  BuildScheduler scheduler(Inline());
+  const auto staged = Staged();
+  BuildScheduler& scheduler = *staged;
   // Three stale requests for table A, then two for B: strict FIFO would
   // starve B behind A; round-robin alternates turns.
   scheduler.Enqueue({"A", "a1", ColumnHealth::kStale, 0.0, log.Build("a1")});
@@ -96,7 +106,8 @@ TEST(BuildSchedulerTest, TablesTakeRoundRobinTurnsWithinAClass) {
 TEST(BuildSchedulerTest, RequeueCoalescesAndUpgradesSeverity) {
   OrderLog log;
   metrics::MetricsPlane plane;
-  BuildScheduler scheduler(Inline(), &plane);
+  const auto staged = Staged(&plane);
+  BuildScheduler& scheduler = *staged;
   scheduler.Enqueue({"t", "x", ColumnHealth::kFresh, 0.1, log.Build("x-old")});
   scheduler.Enqueue({"t", "y", ColumnHealth::kStale, 0.0, log.Build("y")});
   // Re-request of the queued x: upgrades fresh → degraded, so x now beats
@@ -120,7 +131,7 @@ TEST(BuildSchedulerTest, MaxInflightBoundsConcurrencyUnderAPool) {
   std::atomic<int> high_water{0};
   std::atomic<int> completed{0};
   {
-    BuildScheduler scheduler({.max_inflight = 2, .threads = 4});
+    BuildScheduler scheduler({.max_inflight = 2});
     for (int i = 0; i < 12; ++i) {
       scheduler.Enqueue(
           {"t", Key("c", i), ColumnHealth::kStale, 0.0,
@@ -143,9 +154,47 @@ TEST(BuildSchedulerTest, MaxInflightBoundsConcurrencyUnderAPool) {
   EXPECT_GE(high_water.load(), 1);
 }
 
+TEST(BuildSchedulerTest, DefaultBudgetRunsTwoBuildsAtOnce) {
+  // Under the default options both admitted builds must really run at
+  // the same time: each waits (bounded) until the other has started.
+  std::atomic<int> running{0};
+  std::atomic<int> high_water{0};
+  std::atomic<int> timed_out{0};
+  {
+    BuildScheduler scheduler(BuildScheduler::Options{});
+    for (int i = 0; i < 2; ++i) {
+      scheduler.Enqueue(
+          {"t", Key("c", i), ColumnHealth::kStale, 0.0,
+           [&running, &high_water, &timed_out]() {
+             const int now = running.fetch_add(1) + 1;
+             int seen = high_water.load();
+             while (now > seen &&
+                    !high_water.compare_exchange_weak(seen, now)) {
+             }
+             const auto give_up =
+                 std::chrono::steady_clock::now() + std::chrono::seconds(5);
+             while (high_water.load() < 2) {
+               if (std::chrono::steady_clock::now() > give_up) {
+                 timed_out.fetch_add(1);
+                 break;
+               }
+               std::this_thread::sleep_for(std::chrono::milliseconds(1));
+             }
+             running.fetch_sub(1);
+             return Status::OK();
+           }});
+    }
+    scheduler.Drain();
+    EXPECT_EQ(scheduler.counts().completed, 2u);
+  }
+  EXPECT_EQ(high_water.load(), 2);
+  EXPECT_EQ(timed_out.load(), 0);
+}
+
 TEST(BuildSchedulerTest, FailuresAreCountedAndTakeable) {
   metrics::MetricsPlane plane;
-  BuildScheduler scheduler(Inline(), &plane);
+  const auto staged = Staged(&plane);
+  BuildScheduler& scheduler = *staged;
   scheduler.Enqueue({"t", "good", ColumnHealth::kStale, 0.0,
                      []() { return Status::OK(); }});
   scheduler.Enqueue({"t", "bad", ColumnHealth::kStale, 0.0, []() {
@@ -167,8 +216,8 @@ TEST(BuildSchedulerTest, FailuresAreCountedAndTakeable) {
 TEST(BuildSchedulerTest, DestructorDiscardsQueuedWorkButFinishesInflight) {
   std::atomic<int> ran{0};
   {
-    BuildScheduler scheduler(
-        {.max_inflight = 1, .threads = 1, .start_paused = true});
+    BuildScheduler scheduler({.max_inflight = 1});
+    scheduler.Pause();
     for (int i = 0; i < 5; ++i) {
       scheduler.Enqueue({"t", Key("c", i), ColumnHealth::kFresh,
                          0.0, [&ran]() {
@@ -183,7 +232,7 @@ TEST(BuildSchedulerTest, DestructorDiscardsQueuedWorkButFinishesInflight) {
 
 TEST(BuildSchedulerTest, ConcurrentEnqueuersAllGetServed) {
   std::atomic<int> ran{0};
-  BuildScheduler scheduler({.max_inflight = 2, .threads = 2});
+  BuildScheduler scheduler({.max_inflight = 2});
   constexpr int kThreads = 6;
   constexpr int kPerThread = 25;
   std::vector<std::thread> enqueuers;
@@ -213,7 +262,7 @@ TEST(BuildSchedulerTest, ConcurrentEnqueuersAllGetServed) {
 
 TEST(BuildSchedulerTest, PauseHoldsAdmissionResumeReleasesIt) {
   std::atomic<int> ran{0};
-  BuildScheduler scheduler({.max_inflight = 1, .threads = 1});
+  BuildScheduler scheduler({.max_inflight = 1});
   scheduler.Pause();
   scheduler.Enqueue({"t", "x", ColumnHealth::kStale, 0.0, [&ran]() {
                        ran.fetch_add(1);

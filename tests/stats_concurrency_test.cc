@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "data/distribution.h"
+#include "stats/statistics_fleet.h"
 #include "stats/statistics_manager.h"
 #include "storage/fault_injection.h"
 #include "storage/table.h"
@@ -224,15 +225,14 @@ TEST(StatsConcurrencyTest, BatchServingMatchesScalarAtAnyThreadCount) {
     ASSERT_TRUE(estimate.ok());
     scalar[i] = *estimate;
   }
-  // Sequential and pooled one-column batches agree with the scalar path
-  // bitwise.
+  // A one-column batch agrees with the scalar path bitwise (the
+  // pool-sharded batch is pinned one layer down, in
+  // CompiledEstimatorTest.BatchAndPoolBitwiseIdentical*).
   std::vector<BatchEstimateRequest> requests;
   for (const RangeQuery& query : queries) requests.push_back({"col", query});
-  for (const bool use_pool : {false, true}) {
-    BatchEstimateResult batch;
-    ASSERT_TRUE(manager.EstimateBatch(table, requests, &batch, use_pool).ok());
-    EXPECT_EQ(batch.estimates, scalar) << "use_pool=" << use_pool;
-  }
+  BatchEstimateResult batch;
+  ASSERT_TRUE(manager.EstimateBatch(table, requests, &batch).ok());
+  EXPECT_EQ(batch.estimates, scalar);
 }
 
 TEST(StatsConcurrencyTest, ConcurrentServingDuringRebuildsAndDrops) {
@@ -400,8 +400,7 @@ TEST(StatsConcurrencyTest, ReadersServeStaleWhileBuildsFailAndRecover) {
 
 TEST(StatsConcurrencyTest, EstimateBatchMultiColumnMatchesPerRequest) {
   // The multi-column batch API answers an interleaved predicate list with
-  // exactly the per-request serving-path estimates, in request order,
-  // with or without the pool.
+  // exactly the per-request serving-path estimates, in request order.
   Table table = SmallTable();
   StatisticsManager::Options options;
   options.buckets = 40;
@@ -416,8 +415,7 @@ TEST(StatsConcurrencyTest, EstimateBatchMultiColumnMatchesPerRequest) {
                         {i * 17 % 40000, i * 17 % 40000 + 300 + i}});
   }
   BatchEstimateResult batch;
-  ASSERT_TRUE(
-      manager.EstimateBatch(table, requests, &batch, /*use_pool=*/false).ok());
+  ASSERT_TRUE(manager.EstimateBatch(table, requests, &batch).ok());
   ASSERT_EQ(batch.estimates.size(), requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const auto single =
@@ -425,11 +423,6 @@ TEST(StatsConcurrencyTest, EstimateBatchMultiColumnMatchesPerRequest) {
     ASSERT_TRUE(single.ok());
     EXPECT_EQ(batch.estimates[i], *single) << "request " << i;
   }
-  // Pool-sharded: bitwise the same answers.
-  BatchEstimateResult pooled;
-  ASSERT_TRUE(
-      manager.EstimateBatch(table, requests, &pooled, /*use_pool=*/true).ok());
-  EXPECT_EQ(pooled.estimates, batch.estimates);
   // Each distinct column built exactly once — the whole batch rode the
   // snapshot cache.
   EXPECT_EQ(manager.rebuild_count(), columns.size());
@@ -462,8 +455,7 @@ TEST(StatsConcurrencyTest, ConcurrentBatchServingDuringRebuildsAndDrops) {
       }
       BatchEstimateResult result;
       for (int i = 0; i < 60; ++i) {
-        const Status status = manager.EstimateBatch(
-            table, requests, &result, /*use_pool=*/(i % 2) == 0);
+        const Status status = manager.EstimateBatch(table, requests, &result);
         if (!status.ok() || result.estimates.size() != requests.size()) {
           failures.fetch_add(1);
           continue;
@@ -517,44 +509,62 @@ TEST(StatsConcurrencyTest, EstimateBatchDuplicateColumnsResolveOnce) {
   EXPECT_EQ(manager.size(), 2u);
 }
 
-TEST(StatsConcurrencyTest, EstimateBatchUnknownColumnMixedWithHealthy) {
+// Storage goes dark: a never-built column mixed into the batch cannot
+// build, and with the fallback disabled its error must surface as the
+// batch's result — never a fabricated estimate. The healthy column's
+// snapshot is unaffected. `Stats` is a shard or a fleet: both batch
+// front-ends must behave the same.
+template <typename Stats>
+void CheckUnknownColumnUnderBlackout(Stats& stats) {
   Table table = SmallTable();
-  StatisticsManager manager({.buckets = 40,
-                             .f = 0.25,
-                             .threads = 1,
-                             .retry = {.max_attempts = 1},
-                             .fallback_on_unbuilt = false});
-  ASSERT_TRUE(manager.GetOrBuildShared("healthy", table).ok());
+  ASSERT_TRUE(stats.EnsureFresh("healthy", table).ok());
 
-  // Storage goes dark: a never-built column mixed into the batch cannot
-  // build, and with the fallback disabled its error must surface as the
-  // batch's result — never a fabricated estimate. The healthy column's
-  // snapshot is unaffected.
   FaultInjector blackout(FaultSpec{.lost_probability = 1.0, .seed = 7});
   table.set_fault_injector(&blackout);
   const auto domain = static_cast<Value>(table.tuple_count() / 50);
   const std::vector<BatchEstimateRequest> requests = {
       {"healthy", {0, domain}},
-      {"never_built", {0, domain}},
+      {"missing", {0, domain}},
       {"healthy", {domain / 2, domain}},
   };
   BatchEstimateResult result;
-  const Status status = manager.EstimateBatch(table, requests, &result);
+  const Status status = stats.EstimateBatch(table, requests, &result);
   EXPECT_FALSE(status.ok());
-  EXPECT_FALSE(manager.Has("never_built"));
+  EXPECT_FALSE(stats.Has("missing"));
 
   // Healthy-only batches keep serving from the snapshot, blackout or not.
   const std::vector<BatchEstimateRequest> healthy_only = {
       {"healthy", {0, domain}}};
-  ASSERT_TRUE(manager.EstimateBatch(table, healthy_only, &result).ok());
+  ASSERT_TRUE(stats.EstimateBatch(table, healthy_only, &result).ok());
   ASSERT_EQ(result.estimates.size(), 1u);
   EXPECT_GE(result.estimates[0], 0.0);
 
   // Storage recovers: the same mixed batch now builds and answers fully.
   table.set_fault_injector(nullptr);
-  ASSERT_TRUE(manager.EstimateBatch(table, requests, &result).ok());
+  ASSERT_TRUE(stats.EstimateBatch(table, requests, &result).ok());
   ASSERT_EQ(result.estimates.size(), requests.size());
-  EXPECT_TRUE(manager.Has("never_built"));
+  EXPECT_TRUE(stats.Has("missing"));
+}
+
+TEST(StatsConcurrencyTest, EstimateBatchUnknownColumnMixedWithHealthy) {
+  const StatisticsShard::Options options{.buckets = 40,
+                                         .f = 0.25,
+                                         .threads = 1,
+                                         .retry = {.max_attempts = 1},
+                                         .fallback_on_unbuilt = false};
+  {
+    SCOPED_TRACE("shard");
+    StatisticsManager manager(options);
+    CheckUnknownColumnUnderBlackout(manager);
+  }
+  {
+    SCOPED_TRACE("4-shard fleet");
+    StatisticsFleet fleet({.shards = 4, .shard = options});
+    // The two columns live on different shards, so the failing column's
+    // error crosses a shard boundary.
+    ASSERT_NE(fleet.ShardIndex("healthy"), fleet.ShardIndex("missing"));
+    CheckUnknownColumnUnderBlackout(fleet);
+  }
 }
 
 TEST(StatsConcurrencyTest, EstimateBatchRacingDropsNeverCorruptsAnswers) {

@@ -190,9 +190,53 @@ TEST(StatisticsFleetTest, NeverBuiltColumnsBuildOnFirstBatch) {
   EXPECT_EQ(fleet.size(), columns.size());
 }
 
+TEST(StatisticsFleetTest, BatchCountsOnEveryShardItTouches) {
+  // One batch spanning several shards: each shard it touches counts one
+  // batch, its share of the requests and one batch-size sample, and
+  // resolves each of its columns once; untouched shards count nothing.
+  Table table = SmallTable();
+  StatisticsFleet fleet({.shards = 4, .shard = ShardOptions()});
+  const auto columns = Columns(5);
+  ASSERT_TRUE(fleet.BuildAll(columns, table).ok());
+  const auto requests = MixedBatch(columns, table, 3);
+  std::vector<std::uint64_t> share(fleet.shard_count(), 0);
+  std::vector<std::uint64_t> owned_columns(fleet.shard_count(), 0);
+  for (const BatchEstimateRequest& request : requests) {
+    ++share[fleet.ShardIndex(request.column)];
+  }
+  for (const std::string& column : columns) {
+    ++owned_columns[fleet.ShardIndex(column)];
+  }
+  ASSERT_GE(std::count_if(share.begin(), share.end(),
+                          [](std::uint64_t n) { return n > 0; }),
+            2);
+
+  BatchEstimateResult result;
+  ASSERT_TRUE(fleet.EstimateBatch(table, requests, &result).ok());
+  for (std::size_t s = 0; s < fleet.shard_count(); ++s) {
+    const metrics::MetricsPlane& plane = fleet.shard(s).metrics();
+    const std::uint64_t touched = share[s] > 0 ? 1 : 0;
+    EXPECT_EQ(plane.counter(metrics::Counter::kEstimateBatches), touched)
+        << "shard " << s;
+    EXPECT_EQ(plane.counter(metrics::Counter::kEstimateQueries), share[s])
+        << "shard " << s;
+    EXPECT_EQ(plane.hist_count(metrics::Hist::kEstimateBatchSize), touched)
+        << "shard " << s;
+    EXPECT_EQ(plane.hist_sum(metrics::Hist::kEstimateBatchSize), share[s])
+        << "shard " << s;
+    EXPECT_EQ(plane.counter(metrics::Counter::kServingCacheRefreshes),
+              owned_columns[s])
+        << "shard " << s;
+  }
+  const metrics::MetricsPlane& fleet_plane = fleet.fleet_metrics();
+  EXPECT_EQ(fleet_plane.counter(metrics::Counter::kEstimateBatches), 1u);
+  EXPECT_EQ(fleet_plane.counter(metrics::Counter::kEstimateQueries),
+            requests.size());
+}
+
 // -- Concurrent serving ------------------------------------------------------
 
-TEST(StatisticsFleetTest, ConcurrentPartitionedBatchesStayCorrect) {
+TEST(StatisticsFleetTest, ConcurrentCrossShardBatchesStayCorrect) {
   Table table = SmallTable();
   const auto columns = Columns(6);
   StatisticsFleet fleet({.shards = 2, .shard = ShardOptions()});
@@ -210,7 +254,7 @@ TEST(StatisticsFleetTest, ConcurrentPartitionedBatchesStayCorrect) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t]() {
       // Each thread's batch starts at a different column rotation so the
-      // concurrent partitioned calls carry distinct requests.
+      // concurrent cross-shard calls carry distinct requests.
       std::vector<std::string> rotated(columns.begin() + t % columns.size(),
                                        columns.end());
       rotated.insert(rotated.end(), columns.begin(),
@@ -659,7 +703,7 @@ TEST(StatisticsFleetTest, ChaosBuildStormStaysServable) {
   shard_options.seed = seed;
   StatisticsFleet fleet({.shards = 3,
                          .shard = shard_options,
-                         .scheduler = {.max_inflight = 2, .threads = 2}});
+                         .scheduler = {.max_inflight = 2}});
   const auto columns = Columns(9);
   for (int wave = 0; wave < 3; ++wave) {
     for (const std::string& column : columns) {

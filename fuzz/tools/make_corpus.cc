@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -118,6 +119,18 @@ void FleetWireSeeds(const std::filesystem::path& root) {
   using namespace equihist::fleetwire;
   const Bytes estimate_req = Encode(EstimateBatchRequestFrame{
       {{"t.c1", {5, 25}}, {"t.c2", {0, 60}}}});
+  // A 130-byte column name (2-byte varint length) and the full int64
+  // range: the golden frame of FleetWireTest.EstimateFramesKeepTheirBytes.
+  std::string long_column;
+  for (int i = 0; i < 130; ++i) {
+    long_column.push_back(static_cast<char>('a' + i % 26));
+  }
+  const Bytes estimate_req_long = Encode(EstimateBatchRequestFrame{
+      {{long_column,
+        {std::numeric_limits<equihist::Value>::min(),
+         std::numeric_limits<equihist::Value>::max()}},
+       {"t.a", {-5, 7}},
+       {"t.b", {-300, -1}}}});
   const Bytes estimate_resp = Encode(EstimateBatchResponseFrame{{12.5, 60.0}});
   const Bytes build_req = Encode(BuildControlRequestFrame{
       BuildOp::kEnsureFresh, "t.c1", 0});
@@ -130,6 +143,8 @@ void FleetWireSeeds(const std::filesystem::path& root) {
 
   WriteSeed(root, "fuzz_fleet_wire", "estimate_request",
             WithMode(0, estimate_req));
+  WriteSeed(root, "fuzz_fleet_wire", "estimate_request_long_column",
+            WithMode(0, estimate_req_long));
   WriteSeed(root, "fuzz_fleet_wire", "estimate_response",
             WithMode(1, estimate_resp));
   WriteSeed(root, "fuzz_fleet_wire", "build_request", WithMode(2, build_req));

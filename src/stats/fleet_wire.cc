@@ -1,49 +1,79 @@
 #include "stats/fleet_wire.h"
 
+#include <cassert>
 #include <cstddef>
-#include <utility>
+#include <cstring>
+#include <string_view>
 
 #include "stats/wire_format.h"
 
 namespace equihist::fleetwire {
 namespace {
 
-void PutHeader(FrameType type, std::vector<std::uint8_t>* out) {
-  out->push_back(kMagic0);
-  out->push_back(kMagic1);
-  out->push_back(kVersion);
-  out->push_back(static_cast<std::uint8_t>(type));
+constexpr std::size_t kHeaderBytes = 4;
+
+// Every encoder sizes its frame exactly, allocates it once with the
+// header in place, and writes the payload after it.
+std::vector<std::uint8_t> NewFrame(FrameType type, std::size_t payload_bytes) {
+  std::vector<std::uint8_t> out(kHeaderBytes + payload_bytes);
+  out[0] = kMagic0;
+  out[1] = kMagic1;
+  out[2] = kVersion;
+  out[3] = static_cast<std::uint8_t>(type);
+  return out;
 }
 
-void PutString(const std::string& s, std::vector<std::uint8_t>* out) {
-  wire::PutVarint(s.size(), out);
-  out->insert(out->end(), s.begin(), s.end());
+std::uint8_t* Payload(std::vector<std::uint8_t>& frame) {
+  return frame.data() + kHeaderBytes;
 }
 
-Result<std::string> ReadString(wire::Reader& reader) {
-  EQUIHIST_ASSIGN_OR_RETURN(const std::uint64_t len,
-                            reader.LengthPrefixedCount(1));
-  std::string s;
-  s.reserve(static_cast<std::size_t>(len));
-  for (std::uint64_t i = 0; i < len; ++i) {
-    EQUIHIST_ASSIGN_OR_RETURN(const std::uint8_t byte, reader.Byte());
-    s.push_back(static_cast<char>(byte));
-  }
-  return s;
+// Strings are varint-length-prefixed.
+std::size_t StringSize(std::string_view s) {
+  return wire::VarintSize(s.size()) + s.size();
 }
 
-// Consumes and validates the 4-byte header; `expected` pins the type.
-Status ReadHeader(wire::Reader& reader, FrameType expected) {
-  EQUIHIST_ASSIGN_OR_RETURN(const std::uint8_t m0, reader.Byte());
-  EQUIHIST_ASSIGN_OR_RETURN(const std::uint8_t m1, reader.Byte());
-  if (m0 != kMagic0 || m1 != kMagic1) {
+std::uint8_t* WriteString(std::string_view s, std::uint8_t* out) {
+  out = wire::WriteVarint(s.size(), out);
+  if (!s.empty()) std::memcpy(out, s.data(), s.size());
+  return out + s.size();
+}
+
+// Build-control responses and rejections: a status code byte, then the
+// message.
+std::vector<std::uint8_t> EncodeStatus(FrameType type, StatusCode code,
+                                       std::string_view message) {
+  std::vector<std::uint8_t> out = NewFrame(type, 1 + StringSize(message));
+  std::uint8_t* p = Payload(out);
+  *p++ = static_cast<std::uint8_t>(code);
+  WriteString(message, p);
+  return out;
+}
+
+Status ReadString(wire::Reader& reader, std::string* out) {
+  EQUIHIST_ASSIGN_OR_RETURN(const std::uint64_t length, reader.Varint());
+  EQUIHIST_ASSIGN_OR_RETURN(const std::span<const std::uint8_t> bytes,
+                            reader.Bytes(length));
+  out->assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  return Status::OK();
+}
+
+// Consumes the 4-byte header, validates magic and version, and returns
+// the type byte unchecked.
+Result<std::uint8_t> ReadHeaderType(wire::Reader& reader) {
+  EQUIHIST_ASSIGN_OR_RETURN(const std::span<const std::uint8_t> header,
+                            reader.Bytes(kHeaderBytes));
+  if (header[0] != kMagic0 || header[1] != kMagic1) {
     return Status::InvalidArgument("bad fleet frame magic");
   }
-  EQUIHIST_ASSIGN_OR_RETURN(const std::uint8_t version, reader.Byte());
-  if (version != kVersion) {
+  if (header[2] != kVersion) {
     return Status::InvalidArgument("unsupported fleet frame version");
   }
-  EQUIHIST_ASSIGN_OR_RETURN(const std::uint8_t type, reader.Byte());
+  return header[3];
+}
+
+// Consumes and validates the header; `expected` pins the type.
+Status ReadHeader(wire::Reader& reader, FrameType expected) {
+  EQUIHIST_ASSIGN_OR_RETURN(const std::uint8_t type, ReadHeaderType(reader));
   if (type != static_cast<std::uint8_t>(expected)) {
     return Status::InvalidArgument("unexpected fleet frame type");
   }
@@ -59,80 +89,79 @@ Status CheckFullyConsumed(const wire::Reader& reader) {
 
 }  // namespace
 
-std::vector<std::uint8_t> Encode(const EstimateBatchRequestFrame& frame) {
-  std::vector<std::uint8_t> out;
-  PutHeader(FrameType::kEstimateBatchRequest, &out);
-  wire::PutVarint(frame.requests.size(), &out);
-  for (const BatchEstimateRequest& request : frame.requests) {
-    PutString(request.column, &out);
-    wire::PutSigned(request.query.lo, &out);
-    wire::PutSigned(request.query.hi, &out);
+std::vector<std::uint8_t> EncodeEstimateBatchRequest(
+    std::span<const BatchEstimateRequest> requests) {
+  std::size_t payload = wire::VarintSize(requests.size());
+  for (const BatchEstimateRequest& request : requests) {
+    payload += StringSize(request.column) +
+               wire::VarintSize(wire::ZigZag(request.query.lo)) +
+               wire::VarintSize(wire::ZigZag(request.query.hi));
   }
+  std::vector<std::uint8_t> out =
+      NewFrame(FrameType::kEstimateBatchRequest, payload);
+  std::uint8_t* p = wire::WriteVarint(requests.size(), Payload(out));
+  for (const BatchEstimateRequest& request : requests) {
+    p = WriteString(request.column, p);
+    p = wire::WriteVarint(wire::ZigZag(request.query.lo), p);
+    p = wire::WriteVarint(wire::ZigZag(request.query.hi), p);
+  }
+  assert(p == out.data() + out.size());
   return out;
 }
 
+std::vector<std::uint8_t> Encode(const EstimateBatchRequestFrame& frame) {
+  return EncodeEstimateBatchRequest(frame.requests);
+}
+
 std::vector<std::uint8_t> Encode(const EstimateBatchResponseFrame& frame) {
-  std::vector<std::uint8_t> out;
-  PutHeader(FrameType::kEstimateBatchResponse, &out);
-  wire::PutVarint(frame.estimates.size(), &out);
+  const std::size_t count = frame.estimates.size();
+  std::vector<std::uint8_t> out = NewFrame(
+      FrameType::kEstimateBatchResponse, wire::VarintSize(count) + 8 * count);
+  std::uint8_t* p = wire::WriteVarint(count, Payload(out));
   for (const double estimate : frame.estimates) {
-    wire::PutF64(estimate, &out);
+    p = wire::WriteF64(estimate, p);
   }
+  assert(p == out.data() + out.size());
   return out;
 }
 
 std::vector<std::uint8_t> Encode(const BuildControlRequestFrame& frame) {
-  std::vector<std::uint8_t> out;
-  PutHeader(FrameType::kBuildControlRequest, &out);
-  out.push_back(static_cast<std::uint8_t>(frame.op));
-  PutString(frame.column, &out);
-  if (frame.op == BuildOp::kRecordModifications) {
-    wire::PutVarint(frame.count, &out);
-  }
+  const bool counted = frame.op == BuildOp::kRecordModifications;
+  std::vector<std::uint8_t> out =
+      NewFrame(FrameType::kBuildControlRequest,
+               1 + StringSize(frame.column) +
+                   (counted ? wire::VarintSize(frame.count) : 0));
+  std::uint8_t* p = Payload(out);
+  *p++ = static_cast<std::uint8_t>(frame.op);
+  p = WriteString(frame.column, p);
+  if (counted) p = wire::WriteVarint(frame.count, p);
+  assert(p == out.data() + out.size());
   return out;
 }
 
 std::vector<std::uint8_t> Encode(const BuildControlResponseFrame& frame) {
-  std::vector<std::uint8_t> out;
-  PutHeader(FrameType::kBuildControlResponse, &out);
-  out.push_back(static_cast<std::uint8_t>(frame.code));
-  PutString(frame.message, &out);
-  return out;
+  return EncodeStatus(FrameType::kBuildControlResponse, frame.code,
+                      frame.message);
 }
 
 std::vector<std::uint8_t> EncodeMetricsRequest() {
-  std::vector<std::uint8_t> out;
-  PutHeader(FrameType::kMetricsRequest, &out);
-  return out;
+  return NewFrame(FrameType::kMetricsRequest, 0);
 }
 
 std::vector<std::uint8_t> Encode(const MetricsResponseFrame& frame) {
-  std::vector<std::uint8_t> out;
-  PutHeader(FrameType::kMetricsResponse, &out);
-  PutString(frame.json, &out);
+  std::vector<std::uint8_t> out =
+      NewFrame(FrameType::kMetricsResponse, StringSize(frame.json));
+  WriteString(frame.json, Payload(out));
   return out;
 }
 
 std::vector<std::uint8_t> Encode(const RejectionFrame& frame) {
-  std::vector<std::uint8_t> out;
-  PutHeader(FrameType::kRejection, &out);
-  out.push_back(static_cast<std::uint8_t>(frame.code));
-  PutString(frame.message, &out);
-  return out;
+  return EncodeStatus(FrameType::kRejection, frame.code, frame.message);
 }
 
 Result<FrameType> PeekType(std::span<const std::uint8_t> bytes) {
   wire::Reader reader(bytes);
-  EQUIHIST_ASSIGN_OR_RETURN(const std::uint8_t m0, reader.Byte());
-  EQUIHIST_ASSIGN_OR_RETURN(const std::uint8_t m1, reader.Byte());
-  if (m0 != kMagic0 || m1 != kMagic1) {
-    return Status::InvalidArgument("bad fleet frame magic");
-  }
-  EQUIHIST_ASSIGN_OR_RETURN(const std::uint8_t version, reader.Byte());
-  if (version != kVersion) {
-    return Status::InvalidArgument("unsupported fleet frame version");
-  }
-  EQUIHIST_ASSIGN_OR_RETURN(const std::uint8_t type, reader.Byte());
+  EQUIHIST_ASSIGN_OR_RETURN(const std::uint8_t type, ReadHeaderType(reader));
   if (type < static_cast<std::uint8_t>(FrameType::kEstimateBatchRequest) ||
       type > static_cast<std::uint8_t>(FrameType::kRejection)) {
     return Status::InvalidArgument("unknown fleet frame type");
@@ -149,16 +178,14 @@ Result<EstimateBatchRequestFrame> DecodeEstimateBatchRequest(
   EQUIHIST_ASSIGN_OR_RETURN(const std::uint64_t count,
                             reader.LengthPrefixedCount(3));
   EstimateBatchRequestFrame frame;
-  frame.requests.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    BatchEstimateRequest request;
-    EQUIHIST_ASSIGN_OR_RETURN(request.column, ReadString(reader));
+  frame.requests.resize(static_cast<std::size_t>(count));
+  for (BatchEstimateRequest& request : frame.requests) {
+    EQUIHIST_RETURN_IF_ERROR(ReadString(reader, &request.column));
     EQUIHIST_ASSIGN_OR_RETURN(request.query.lo, reader.Signed());
     EQUIHIST_ASSIGN_OR_RETURN(request.query.hi, reader.Signed());
     if (request.query.lo > request.query.hi) {
       return Status::InvalidArgument("fleet frame range has lo > hi");
     }
-    frame.requests.push_back(std::move(request));
   }
   EQUIHIST_RETURN_IF_ERROR(CheckFullyConsumed(reader));
   return frame;
@@ -171,11 +198,14 @@ Result<EstimateBatchResponseFrame> DecodeEstimateBatchResponse(
       ReadHeader(reader, FrameType::kEstimateBatchResponse));
   EQUIHIST_ASSIGN_OR_RETURN(const std::uint64_t count,
                             reader.LengthPrefixedCount(8));
+  // LengthPrefixedCount bounds count by the remaining bytes / 8, so the
+  // product cannot overflow.
+  EQUIHIST_ASSIGN_OR_RETURN(const std::span<const std::uint8_t> run,
+                            reader.Bytes(8 * count));
   EstimateBatchResponseFrame frame;
-  frame.estimates.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    EQUIHIST_ASSIGN_OR_RETURN(const double estimate, reader.F64());
-    frame.estimates.push_back(estimate);
+  frame.estimates.resize(static_cast<std::size_t>(count));
+  for (std::size_t i = 0; i < frame.estimates.size(); ++i) {
+    frame.estimates[i] = wire::LoadF64(run.data() + 8 * i);
   }
   EQUIHIST_RETURN_IF_ERROR(CheckFullyConsumed(reader));
   return frame;
@@ -192,7 +222,7 @@ Result<BuildControlRequestFrame> DecodeBuildControlRequest(
     return Status::InvalidArgument("unknown fleet build op");
   }
   frame.op = static_cast<BuildOp>(op);
-  EQUIHIST_ASSIGN_OR_RETURN(frame.column, ReadString(reader));
+  EQUIHIST_RETURN_IF_ERROR(ReadString(reader, &frame.column));
   if (frame.column.empty()) {
     return Status::InvalidArgument("fleet build op names no column");
   }
@@ -214,7 +244,7 @@ Result<BuildControlResponseFrame> DecodeBuildControlResponse(
     return Status::InvalidArgument("unknown status code in fleet frame");
   }
   frame.code = static_cast<StatusCode>(code);
-  EQUIHIST_ASSIGN_OR_RETURN(frame.message, ReadString(reader));
+  EQUIHIST_RETURN_IF_ERROR(ReadString(reader, &frame.message));
   EQUIHIST_RETURN_IF_ERROR(CheckFullyConsumed(reader));
   return frame;
 }
@@ -230,7 +260,7 @@ Result<MetricsResponseFrame> DecodeMetricsResponse(
   wire::Reader reader(bytes);
   EQUIHIST_RETURN_IF_ERROR(ReadHeader(reader, FrameType::kMetricsResponse));
   MetricsResponseFrame frame;
-  EQUIHIST_ASSIGN_OR_RETURN(frame.json, ReadString(reader));
+  EQUIHIST_RETURN_IF_ERROR(ReadString(reader, &frame.json));
   EQUIHIST_RETURN_IF_ERROR(CheckFullyConsumed(reader));
   return frame;
 }
@@ -245,7 +275,7 @@ Result<RejectionFrame> DecodeRejection(std::span<const std::uint8_t> bytes) {
     return Status::InvalidArgument("rejection frame carries no valid error");
   }
   frame.code = static_cast<StatusCode>(code);
-  EQUIHIST_ASSIGN_OR_RETURN(frame.message, ReadString(reader));
+  EQUIHIST_RETURN_IF_ERROR(ReadString(reader, &frame.message));
   EQUIHIST_RETURN_IF_ERROR(CheckFullyConsumed(reader));
   return frame;
 }

@@ -21,7 +21,9 @@ namespace equihist::fleetwire {
 //   offset 4: type-specific payload (varint/zigzag/F64 primitives from
 //             stats/wire_format.h; strings are varint-length-prefixed)
 //
-// Decoders are built on the bounds-checked wire::Reader: any corruption —
+// Encoders size the frame first and write it into one exactly-sized
+// buffer. Decoders make one pass over the frame on the bounds-checked
+// wire::Reader (a string's bytes are one checked step): any corruption —
 // truncation, bit flips, hostile length prefixes — surfaces as
 // Status::InvalidArgument, never as UB (the corruption-matrix test in
 // tests/stats_fleet_test.cc walks every byte). A frame must consume its
@@ -85,6 +87,10 @@ struct RejectionFrame {
   std::string message;
 };
 
+// Encodes straight from the caller's requests, with no frame copy;
+// Encode(EstimateBatchRequestFrame) forwards here.
+std::vector<std::uint8_t> EncodeEstimateBatchRequest(
+    std::span<const BatchEstimateRequest> requests);
 std::vector<std::uint8_t> Encode(const EstimateBatchRequestFrame& frame);
 std::vector<std::uint8_t> Encode(const EstimateBatchResponseFrame& frame);
 std::vector<std::uint8_t> Encode(const BuildControlRequestFrame& frame);

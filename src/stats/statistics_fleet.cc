@@ -8,6 +8,14 @@
 #include "stats/fleet_wire.h"
 
 namespace equihist {
+namespace {
+
+// A column lives on shard HashColumnName(column) % shard count.
+std::size_t RouteHash(std::uint64_t hash, std::size_t shards) {
+  return static_cast<std::size_t>(hash % shards);
+}
+
+}  // namespace
 
 StatisticsFleet::StatisticsFleet(const Options& options) {
   const std::uint64_t n = std::max<std::uint64_t>(options.shards, 1);
@@ -22,7 +30,7 @@ std::size_t StatisticsFleet::ShardIndex(const std::string& column) const {
   // Single-shard fleets skip the hash entirely: the facade configuration
   // must serve at the manager's exact ns/query.
   if (shards_.size() == 1) return 0;
-  return static_cast<std::size_t>(HashColumnName(column) % shards_.size());
+  return RouteHash(HashColumnName(column), shards_.size());
 }
 
 Result<double> StatisticsFleet::EstimateRange(const std::string& column,
@@ -41,8 +49,8 @@ Status StatisticsFleet::EstimateBatch(
   metrics_.Increment(metrics::Counter::kEstimateQueries, requests.size());
   metrics_.Observe(metrics::Hist::kEstimateBatchSize, requests.size());
   return StatisticsShard::EstimateBatchAcross(
-      table, requests, result, [this](const std::string& column) {
-        return shards_[ShardIndex(column)].get();
+      table, requests, result, [this](std::uint64_t hash) {
+        return shards_[RouteHash(hash, shards_.size())].get();
       });
 }
 

@@ -1,6 +1,5 @@
 #include "stats/statistics_shard.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <utility>
 
@@ -629,93 +628,97 @@ Status StatisticsShard::EstimateBatch(
     const Table& table, std::span<const BatchEstimateRequest> requests,
     BatchEstimateResult* result) {
   return EstimateBatchAcross(table, requests, result,
-                             [this](const std::string&) { return this; });
+                             [this](std::uint64_t) { return this; });
 }
 
 Status StatisticsShard::EstimateBatchAcross(
     const Table& table, std::span<const BatchEstimateRequest> requests,
     BatchEstimateResult* result,
-    const std::function<StatisticsShard*(const std::string&)>& owner) {
+    const std::function<StatisticsShard*(std::uint64_t)>& owner) {
   if (result == nullptr) {
     return Status::InvalidArgument("null batch result");
   }
   const std::size_t n = requests.size();
-  result->estimates.assign(n, 0.0);
+  result->estimates.resize(n);
   if (n == 0) return Status::OK();
-  // Group the interleaved requests by column. A predicate list names a
-  // handful of columns, so the group table is a flat linear-scanned
-  // vector, and the per-group query lists live in one shared gather
-  // buffer (counting-sort layout) — the whole batch costs a fixed number
-  // of allocations regardless of column interleaving or shard count.
+  // Group the interleaved requests by column, in order of first
+  // appearance. A predicate list names a handful of columns, so a group is
+  // found by a linear scan that compares the column hash before the name;
+  // there is at most one group per request, so the table never grows past
+  // its reservation. The first group on each shard leads that shard: it
+  // tallies the shard's share of the requests while grouping, and the
+  // leads form a chain, so each new group finds its shard's lead in as
+  // many steps as the batch touches shards.
+  constexpr std::size_t kNoLead = static_cast<std::size_t>(-1);
   struct ColumnGroup {
+    std::uint64_t hash = 0;
     const std::string* column = nullptr;  // borrowed from requests[]
     StatisticsShard* shard = nullptr;     // the column's owner
+    std::size_t lead = 0;                 // the lead group of `shard`
+    std::size_t next_lead = kNoLead;      // lead groups only: the chain
+    std::size_t shard_queries = 0;        // lead groups only: the tally
     HistogramModelPtr model;
-    std::size_t count = 0;
-    std::size_t offset = 0;  // the group's run in the gather buffers
-    std::size_t filled = 0;
   };
   std::vector<ColumnGroup> groups;
-  // slot[i]: the group of requests[i], then its place in the gather buffer.
-  std::vector<std::size_t> slot(n);
+  groups.reserve(n);
+  std::vector<std::size_t> group_of(n);
+  std::size_t first_lead = kNoLead;
   for (std::size_t i = 0; i < n; ++i) {
+    const std::string& column = requests[i].column;
+    const std::uint64_t hash = HashColumnName(column);
     std::size_t g = 0;
-    while (g < groups.size() && *groups[g].column != requests[i].column) ++g;
-    if (g == groups.size()) {
-      groups.push_back(
-          ColumnGroup{&requests[i].column, owner(requests[i].column),
-                      nullptr, 0, 0, 0});
+    while (g < groups.size() &&
+           (groups[g].hash != hash || *groups[g].column != column)) {
+      ++g;
     }
-    ++groups[g].count;
-    slot[i] = g;
+    if (g == groups.size()) {
+      StatisticsShard* shard = owner(hash);
+      std::size_t lead = first_lead;
+      while (lead != kNoLead && groups[lead].shard != shard) {
+        lead = groups[lead].next_lead;
+      }
+      ColumnGroup& group = groups.emplace_back();
+      group.hash = hash;
+      group.column = &column;
+      group.shard = shard;
+      if (lead == kNoLead) {  // the batch's first group on this shard
+        lead = g;
+        group.next_lead = first_lead;
+        first_lead = g;
+      }
+      group.lead = lead;
+    }
+    ++groups[groups[g].lead].shard_queries;
+    group_of[i] = g;
   }
   // Each shard the batch touches counts it once, with its share of the
   // requests, before any column resolves.
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    StatisticsShard* shard = groups[g].shard;
-    const auto same_shard = [shard](const ColumnGroup& other) {
-      return other.shard == shard;
-    };
-    if (std::any_of(groups.begin(),
-                    groups.begin() + static_cast<std::ptrdiff_t>(g),
-                    same_shard)) {
-      continue;
-    }
-    std::size_t queries = 0;
-    for (std::size_t h = g; h < groups.size(); ++h) {
-      if (same_shard(groups[h])) queries += groups[h].count;
-    }
-    shard->metrics_.Increment(metrics::Counter::kEstimateBatches);
-    shard->metrics_.Increment(metrics::Counter::kEstimateQueries, queries);
-    shard->metrics_.Observe(metrics::Hist::kEstimateBatchSize, queries);
+  for (std::size_t lead = first_lead; lead != kNoLead;
+       lead = groups[lead].next_lead) {
+    metrics::MetricsPlane& plane = groups[lead].shard->metrics_;
+    plane.Increment(metrics::Counter::kEstimateBatches);
+    plane.Increment(metrics::Counter::kEstimateQueries,
+                    groups[lead].shard_queries);
+    plane.Observe(metrics::Hist::kEstimateBatchSize,
+                  groups[lead].shard_queries);
   }
   // Resolve every column's serving model through its owner before any
-  // estimate runs. The returned shared_ptrs pin the snapshots for the
-  // rest of the batch, so its answers are a consistent cut: a concurrent
-  // rebuild cannot serve half the list from the old histogram.
-  std::size_t offset = 0;
+  // estimate runs. The shared_ptrs pin the snapshots for the rest of the
+  // batch — even once a wide batch has evicted their serving-cache slots
+  // — so its answers are a consistent cut: a concurrent rebuild cannot
+  // serve half the list from the old histogram. Groups resolve in order
+  // of first appearance, so the error returned is the first failing
+  // column's in request order.
   for (ColumnGroup& group : groups) {
     EQUIHIST_ASSIGN_OR_RETURN(group.model,
                               group.shard->ServingModel(*group.column, table));
-    group.offset = offset;
-    offset += group.count;
   }
-  // Stable counting sort of the queries into per-group runs, one batch
-  // estimation per run, then one scatter back to request order.
-  std::vector<RangeQuery> queries(n);
+  // Each request straight from its group's model: exactly what
+  // EstimateRangeCounts does per query without a pool.
   for (std::size_t i = 0; i < n; ++i) {
-    ColumnGroup& group = groups[slot[i]];
-    slot[i] = group.offset + group.filled++;
-    queries[slot[i]] = requests[i].query;
+    result->estimates[i] =
+        groups[group_of[i]].model->EstimateRangeCount(requests[i].query);
   }
-  std::vector<double> answers(n);
-  for (const ColumnGroup& group : groups) {
-    group.model->EstimateRangeCounts(
-        std::span<const RangeQuery>(queries.data() + group.offset,
-                                    group.count),
-        std::span<double>(answers.data() + group.offset, group.count));
-  }
-  for (std::size_t i = 0; i < n; ++i) result->estimates[i] = answers[slot[i]];
   return Status::OK();
 }
 

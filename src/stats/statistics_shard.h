@@ -230,12 +230,12 @@ class StatisticsShard {
   // call. Each distinct column's snapshot resolves once, exactly like
   // EstimateRange (first access may build), and every snapshot is pinned
   // before any estimate runs, so the answers are a consistent cut. Each
-  // column's queries then run through the backend's batch path, the
-  // compiled estimator on equi-height; results are bitwise-identical to
-  // EstimateRange. On error (an unbuildable column), estimates are
-  // unspecified and the failure of the first such column in request
-  // order is returned. StatisticsFleet::EstimateBatch runs the same
-  // routine (EstimateBatchAcross) with columns spread over its shards.
+  // query then runs on its column's pinned model, the compiled estimator
+  // on equi-height; results are bitwise-identical to EstimateRange. On
+  // error (an unbuildable column), estimates are unspecified and the
+  // failure of the first such column in request order is returned.
+  // StatisticsFleet::EstimateBatch runs the same routine
+  // (EstimateBatchAcross) with columns spread over its shards.
   Status EstimateBatch(const Table& table,
                        std::span<const BatchEstimateRequest> requests,
                        BatchEstimateResult* result);
@@ -457,17 +457,18 @@ class StatisticsShard {
   // yet built.
   HistogramModelPtr CaptureServing(const std::string& column) EXCLUDES(mu_);
   // The one batch routine behind EstimateBatch here and in
-  // StatisticsFleet: groups `requests` by column, resolves each distinct
-  // column once through ServingModel on the shard `owner` names for it,
-  // runs each group through HistogramModel::EstimateRangeCounts and
-  // scatters the answers back to request order. Every shard the batch
-  // touches counts it in its metrics plane: one kEstimateBatches, its
-  // share of the requests in kEstimateQueries, one kEstimateBatchSize
-  // sample.
+  // StatisticsFleet, in one pass over the requests: it hashes each column
+  // once (HashColumnName), groups the requests by column, and routes each
+  // group to the shard `owner` names for that hash. Every shard the batch
+  // touches counts it in its metrics plane while grouping: one
+  // kEstimateBatches, its share of the requests in kEstimateQueries, one
+  // kEstimateBatchSize sample. Then every group's model is pinned through
+  // ServingModel, and only then is each request answered straight from
+  // its group's model.
   static Status EstimateBatchAcross(
       const Table& table, std::span<const BatchEstimateRequest> requests,
       BatchEstimateResult* result,
-      const std::function<StatisticsShard*(const std::string&)>& owner);
+      const std::function<StatisticsShard*(std::uint64_t)>& owner);
   friend class StatisticsFleet;
 
   // The one serving resolver behind EstimateRange and EstimateBatch: the

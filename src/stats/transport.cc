@@ -215,7 +215,10 @@ Result<std::vector<std::uint8_t>> InProcessTransport::RoundTrip(
     return Status::DeadlineExceeded("transport budget exhausted");
   }
   const std::uint64_t deadline = SteadyMicros() + budget_micros;
-  std::vector<std::uint8_t> request(frame.begin(), frame.end());
+  // The caller's bytes are served as they are; the link copies them only
+  // to damage the copy.
+  std::span<const std::uint8_t> request = frame;
+  std::vector<std::uint8_t> damaged;
   if (injector_ != nullptr) {
     if (injector_->Partitioned(connection_id_)) {
       injector_->RecordPartitionHit();
@@ -245,10 +248,14 @@ Result<std::vector<std::uint8_t>> InProcessTransport::RoundTrip(
       case LinkFaultKind::kDelay:
         break;  // handled above
       case LinkFaultKind::kTruncate:
-        injector_->ApplyTruncate(connection_id_, send_index, request);
+        damaged.assign(frame.begin(), frame.end());
+        injector_->ApplyTruncate(connection_id_, send_index, damaged);
+        request = damaged;
         break;
       case LinkFaultKind::kCorrupt:
-        injector_->ApplyCorrupt(connection_id_, send_index, request);
+        damaged.assign(frame.begin(), frame.end());
+        injector_->ApplyCorrupt(connection_id_, send_index, damaged);
+        request = damaged;
         break;
       case LinkFaultKind::kDuplicate: {
         // Serve the duplicate first; its response is discarded, exactly

@@ -130,10 +130,11 @@ class Transport {
 
 // -- In-process transport ---------------------------------------------------
 
-// ServeFrame behind the Transport interface. Fault-free, the returned
-// bytes are the exact ServeFrame output (bitwise — pinned by the
-// transport tests). An attached LinkFaultInjector mangles the send and
-// receive legs exactly like the socket path does, except that a dropped
+// ServeFrame behind the Transport interface, serving the caller's bytes
+// without copying them. Fault-free, the returned bytes are the exact
+// ServeFrame output (bitwise — pinned by the transport tests). An
+// attached LinkFaultInjector mangles the send and receive legs exactly
+// like the socket path does (on a copy of the frame), except that a dropped
 // frame fails fast with kUnavailable: with no wire to wait on, "the
 // peer never answered" and "the link errored" are indistinguishable, so
 // the in-process link reports the cheaper one.

@@ -207,10 +207,10 @@ Result<std::vector<std::uint8_t>> TransportClient::Call(
 }
 
 Result<std::vector<double>> TransportClient::EstimateBatch(
-    const std::vector<BatchEstimateRequest>& requests,
+    std::span<const BatchEstimateRequest> requests,
     std::uint64_t deadline_micros) {
   const std::vector<std::uint8_t> frame =
-      fleetwire::Encode(fleetwire::EstimateBatchRequestFrame{requests});
+      fleetwire::EncodeEstimateBatchRequest(requests);
   EQUIHIST_ASSIGN_OR_RETURN(
       const std::vector<std::uint8_t> reply,
       Call(frame, /*idempotent=*/true, deadline_micros));

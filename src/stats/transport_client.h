@@ -99,9 +99,9 @@ class TransportClient {
 
   // -- Typed convenience wrappers ------------------------------------------
 
-  // Idempotent: retried.
+  // Idempotent: retried. The frame is encoded straight from `requests`.
   Result<std::vector<double>> EstimateBatch(
-      const std::vector<BatchEstimateRequest>& requests,
+      std::span<const BatchEstimateRequest> requests,
       std::uint64_t deadline_micros = 0);
   // Not idempotent: one attempt. The returned Status is the
   // remote build outcome (transport failures surface the same way).

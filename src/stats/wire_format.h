@@ -1,6 +1,7 @@
 #ifndef EQUIHIST_STATS_WIRE_FORMAT_H_
 #define EQUIHIST_STATS_WIRE_FORMAT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -15,12 +16,30 @@ namespace equihist::wire {
 // (stats/histogram_backends.cc). Header-only so a registered backend
 // outside this library can speak the same wire dialect.
 
-inline void PutVarint(std::uint64_t v, std::vector<std::uint8_t>* out) {
+// Encoders size their buffer first and then write into it: VarintSize is
+// the byte count WriteVarint writes, which returns the end of what it
+// wrote.
+inline std::size_t VarintSize(std::uint64_t v) {
+  std::size_t size = 1;
   while (v >= 0x80) {
-    out->push_back(static_cast<std::uint8_t>(v) | 0x80);
+    v >>= 7;
+    ++size;
+  }
+  return size;
+}
+
+inline std::uint8_t* WriteVarint(std::uint64_t v, std::uint8_t* out) {
+  while (v >= 0x80) {
+    *out++ = static_cast<std::uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  out->push_back(static_cast<std::uint8_t>(v));
+  *out++ = static_cast<std::uint8_t>(v);
+  return out;
+}
+
+inline void PutVarint(std::uint64_t v, std::vector<std::uint8_t>* out) {
+  std::uint8_t bytes[10];
+  out->insert(out->end(), bytes, WriteVarint(v, bytes));
 }
 
 inline std::uint64_t ZigZag(std::int64_t v) {
@@ -52,12 +71,30 @@ inline std::int64_t WrapAdd(std::int64_t a, std::int64_t delta) {
                                    static_cast<std::uint64_t>(delta));
 }
 
-inline void PutF64(double v, std::vector<std::uint8_t>* out) {
+// Writes the 8 little-endian bytes of `v`'s bit pattern.
+inline std::uint8_t* WriteF64(double v, std::uint8_t* out) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+    *out++ = static_cast<std::uint8_t>(bits >> (8 * i));
   }
+  return out;
+}
+
+inline void PutF64(double v, std::vector<std::uint8_t>* out) {
+  std::uint8_t bytes[8];
+  out->insert(out->end(), bytes, WriteF64(v, bytes));
+}
+
+// Reads the double WriteF64 wrote at `in`.
+inline double LoadF64(const std::uint8_t* in) {
+  std::uint64_t bits = 0;
+  for (int i = 0; i < 8; ++i) {
+    bits |= static_cast<std::uint64_t>(in[i]) << (8 * i);
+  }
+  double value;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
 }
 
 // A bounds-checked reader over the byte span. Every accessor returns
@@ -112,17 +149,23 @@ class Reader {
     return bytes_[pos_++];
   }
 
+  // The next `count` bytes, as a view into the buffer: one checked step.
+  Result<std::span<const std::uint8_t>> Bytes(std::uint64_t count) {
+    if (count > remaining()) {
+      return Status::InvalidArgument("truncated byte run");
+    }
+    const std::span<const std::uint8_t> run =
+        bytes_.subspan(pos_, static_cast<std::size_t>(count));
+    pos_ += run.size();
+    return run;
+  }
+
   Result<double> F64() {
     if (remaining() < 8) {
       return Status::InvalidArgument("truncated double");
     }
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<std::uint64_t>(bytes_[pos_ + i]) << (8 * i);
-    }
+    const double value = LoadF64(bytes_.data() + pos_);
     pos_ += 8;
-    double value;
-    std::memcpy(&value, &bits, sizeof(value));
     return value;
   }
 

@@ -9,10 +9,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -285,6 +287,85 @@ TEST(StatisticsFleetTest, ConcurrentCrossShardBatchesStayCorrect) {
       fleet.fleet_metrics().counter(metrics::Counter::kCoalescedRequests), 0u);
 }
 
+TEST(StatisticsFleetTest, BatchWiderThanTheServingCacheStaysOneCut) {
+  // 96 distinct columns per batch: more than a thread's serving cache holds
+  // (64 slots), so resolving the later columns evicts the earlier ones'
+  // cache slots while the batch still has to answer them. Meanwhile a
+  // second thread republishes the first columns (the ones evicted first).
+  // Every column's answers in a batch must come from one snapshot of that
+  // column — one the fleet actually published.
+  Table table = SmallTable(20000);
+  const auto columns = Columns(96);
+  StatisticsFleet fleet({.shards = 4, .shard = ShardOptions()});
+  ASSERT_TRUE(fleet.BuildAll(columns, table).ok());
+  const auto requests = MixedBatch(columns, table, 2);
+
+  constexpr std::size_t kRepublished = 8;
+  constexpr int kRepublishRounds = 6;
+  // published[c]: every snapshot column c served during the test.
+  std::mutex published_mu;
+  std::vector<std::vector<std::shared_ptr<const ColumnStatistics>>> published(
+      columns.size());
+  const auto snapshot_of = [&](std::size_t c) {
+    return fleet.shard(fleet.ShardIndex(columns[c]))
+        .GetOrBuildShared(columns[c], table);
+  };
+  for (std::size_t c = 0; c < columns.size(); ++c) {
+    auto snapshot = snapshot_of(c);
+    ASSERT_TRUE(snapshot.ok());
+    published[c].push_back(*snapshot);
+  }
+
+  std::atomic<bool> republishing{true};
+  std::atomic<int> republish_failures{0};
+  std::thread republisher([&]() {
+    for (int round = 0; round < kRepublishRounds; ++round) {
+      for (std::size_t c = 0; c < kRepublished; ++c) {
+        fleet.RecordModifications(columns[c], table.tuple_count());
+        auto fresh = fleet.shard(fleet.ShardIndex(columns[c]))
+                         .EnsureFreshShared(columns[c], table);
+        if (!fresh.ok()) {
+          republish_failures.fetch_add(1);
+          continue;
+        }
+        std::lock_guard<std::mutex> lock(published_mu);
+        published[c].push_back(*fresh);
+      }
+    }
+    republishing.store(false);
+  });
+
+  std::vector<std::vector<double>> answers;
+  while (republishing.load() || answers.size() < 4) {
+    BatchEstimateResult result;
+    ASSERT_TRUE(fleet.EstimateBatch(table, requests, &result).ok());
+    answers.push_back(std::move(result.estimates));
+  }
+  republisher.join();
+  ASSERT_EQ(republish_failures.load(), 0);
+  EXPECT_GT(published[0].size(), 1u);
+
+  // requests[q * columns + c] is column c's q-th query (MixedBatch).
+  const std::size_t per_column = requests.size() / columns.size();
+  for (std::size_t b = 0; b < answers.size(); ++b) {
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      const bool one_snapshot = std::any_of(
+          published[c].begin(), published[c].end(),
+          [&](const std::shared_ptr<const ColumnStatistics>& snapshot) {
+            for (std::size_t q = 0; q < per_column; ++q) {
+              const std::size_t i = q * columns.size() + c;
+              if (snapshot->EstimateRangeCount(requests[i].query) !=
+                  answers[b][i]) {
+                return false;
+              }
+            }
+            return true;
+          });
+      EXPECT_TRUE(one_snapshot) << "batch " << b << ", column " << columns[c];
+    }
+  }
+}
+
 // -- Wire protocol -----------------------------------------------------------
 
 TEST(FleetWireTest, EstimateBatchFramesRoundTrip) {
@@ -368,37 +449,128 @@ TEST(FleetWireTest, MalformedHeadersAreRejected) {
   EXPECT_FALSE(fleetwire::DecodeEstimateBatchRequest(trailing).ok());
 }
 
+// The golden estimate request: a 130-byte column name (a 2-byte varint
+// length), the full int64 range and a negative lo.
+std::string LongColumnName() {
+  std::string name;
+  for (int i = 0; i < 130; ++i) name.push_back(static_cast<char>('a' + i % 26));
+  return name;
+}
+
+std::vector<BatchEstimateRequest> GoldenRequests() {
+  return {{LongColumnName(),
+           {std::numeric_limits<Value>::min(),
+            std::numeric_limits<Value>::max()}},
+          {"t.a", {-5, 7}},
+          {"t.b", {-300, -1}}};
+}
+
+// Its bytes, and those of the golden response below, as the codec wrote
+// them before its rewrite into sized buffers: the wire format is pinned
+// here, not only by the fuzz fixpoint.
+// fuzz/corpus/fuzz_fleet_wire/estimate_request_long_column holds the same
+// request frame.
+const std::vector<std::uint8_t> kGoldenRequestFrame = {
+    0x46, 0x4C, 0x01, 0x01, 0x03, 0x82, 0x01, 0x61, 0x62, 0x63, 0x64, 0x65,
+    0x66, 0x67, 0x68, 0x69, 0x6A, 0x6B, 0x6C, 0x6D, 0x6E, 0x6F, 0x70, 0x71,
+    0x72, 0x73, 0x74, 0x75, 0x76, 0x77, 0x78, 0x79, 0x7A, 0x61, 0x62, 0x63,
+    0x64, 0x65, 0x66, 0x67, 0x68, 0x69, 0x6A, 0x6B, 0x6C, 0x6D, 0x6E, 0x6F,
+    0x70, 0x71, 0x72, 0x73, 0x74, 0x75, 0x76, 0x77, 0x78, 0x79, 0x7A, 0x61,
+    0x62, 0x63, 0x64, 0x65, 0x66, 0x67, 0x68, 0x69, 0x6A, 0x6B, 0x6C, 0x6D,
+    0x6E, 0x6F, 0x70, 0x71, 0x72, 0x73, 0x74, 0x75, 0x76, 0x77, 0x78, 0x79,
+    0x7A, 0x61, 0x62, 0x63, 0x64, 0x65, 0x66, 0x67, 0x68, 0x69, 0x6A, 0x6B,
+    0x6C, 0x6D, 0x6E, 0x6F, 0x70, 0x71, 0x72, 0x73, 0x74, 0x75, 0x76, 0x77,
+    0x78, 0x79, 0x7A, 0x61, 0x62, 0x63, 0x64, 0x65, 0x66, 0x67, 0x68, 0x69,
+    0x6A, 0x6B, 0x6C, 0x6D, 0x6E, 0x6F, 0x70, 0x71, 0x72, 0x73, 0x74, 0x75,
+    0x76, 0x77, 0x78, 0x79, 0x7A, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+    0xFF, 0xFF, 0x01, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+    0x01, 0x03, 0x74, 0x2E, 0x61, 0x09, 0x0E, 0x03, 0x74, 0x2E, 0x62, 0xD7,
+    0x04, 0x01,
+};
+
+double NanWithPayload() {
+  const std::uint64_t bits = 0x7FF800000000ABCDULL;
+  double value;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+const std::vector<std::uint8_t> kGoldenResponseFrame = {
+    0x46, 0x4C, 0x01, 0x02, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x00, 0xC8, 0x4E,
+    0x67, 0x6D, 0xC1, 0xAB, 0x43, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0,
+    0x7F, 0xCD, 0xAB, 0x00, 0x00, 0x00, 0x00, 0xF8, 0x7F,
+};
+
+TEST(FleetWireTest, EstimateFramesKeepTheirBytes) {
+  const std::vector<BatchEstimateRequest> requests = GoldenRequests();
+  EXPECT_EQ(fleetwire::Encode(fleetwire::EstimateBatchRequestFrame{requests}),
+            kGoldenRequestFrame);
+  const auto decoded =
+      fleetwire::DecodeEstimateBatchRequest(kGoldenRequestFrame);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ASSERT_EQ(decoded->requests.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(decoded->requests[i].column, requests[i].column);
+    EXPECT_EQ(decoded->requests[i].query.lo, requests[i].query.lo);
+    EXPECT_EQ(decoded->requests[i].query.hi, requests[i].query.hi);
+  }
+
+  const std::vector<double> estimates = {
+      0.0, -0.0, 1e18, std::numeric_limits<double>::infinity(),
+      NanWithPayload()};
+  EXPECT_EQ(fleetwire::Encode(fleetwire::EstimateBatchResponseFrame{estimates}),
+            kGoldenResponseFrame);
+  const auto answers =
+      fleetwire::DecodeEstimateBatchResponse(kGoldenResponseFrame);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  ASSERT_EQ(answers->estimates.size(), estimates.size());
+  for (std::size_t i = 0; i < estimates.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&answers->estimates[i], &estimates[i],
+                          sizeof(double)),
+              0)
+        << "estimate " << i << " changed its bits";
+  }
+}
+
 TEST(FleetWireTest, CorruptionMatrixNeverCrashesAndTruncationAlwaysFails) {
   fleetwire::EstimateBatchRequestFrame request;
   request.requests = {{"orders.total", {-100, 100}},
                       {"orders.qty", {3, 900000}}};
-  const auto frame = fleetwire::Encode(request);
+  for (const std::vector<std::uint8_t>& frame :
+       {fleetwire::Encode(request), kGoldenRequestFrame}) {
+    SCOPED_TRACE("frame of " + std::to_string(frame.size()) + " bytes");
+    // Every strict prefix must fail as malformed: a frame consumes its
+    // buffer exactly.
+    for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+      const std::span<const std::uint8_t> prefix(frame.data(), cut);
+      const auto decoded = fleetwire::DecodeEstimateBatchRequest(prefix);
+      ASSERT_FALSE(decoded.ok()) << "prefix of " << cut << " bytes decoded";
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+          << "prefix of " << cut << " bytes";
+    }
 
-  // Every strict prefix must fail: a frame consumes its buffer exactly.
-  for (std::size_t cut = 0; cut < frame.size(); ++cut) {
-    const std::span<const std::uint8_t> prefix(frame.data(), cut);
-    const auto decoded = fleetwire::DecodeEstimateBatchRequest(prefix);
-    EXPECT_FALSE(decoded.ok()) << "prefix of " << cut << " bytes decoded";
-  }
-
-  // Every single-byte mutation either fails cleanly or yields a valid
-  // frame (bit flips inside a column name are legitimately undetectable);
-  // what it must never do is crash, hang, or read out of bounds — ASan/
-  // UBSan in CI give this loop teeth.
-  for (std::size_t i = 0; i < frame.size(); ++i) {
-    for (const std::uint8_t mutation :
-         {static_cast<std::uint8_t>(frame[i] ^ 0x01),
-          static_cast<std::uint8_t>(frame[i] ^ 0x80),
-          static_cast<std::uint8_t>(frame[i] + 1),
-          static_cast<std::uint8_t>(0x00),
-          static_cast<std::uint8_t>(0xFF)}) {
-      auto mutated = frame;
-      mutated[i] = mutation;
-      const auto decoded = fleetwire::DecodeEstimateBatchRequest(mutated);
-      if (decoded.ok()) {
-        EXPECT_LE(decoded->requests.size(), 1000u);  // sane, bounded result
-      } else {
-        EXPECT_FALSE(decoded.status().message().empty());
+    // Every single-byte mutation either fails as malformed or yields a
+    // valid frame (bit flips inside a column name are legitimately
+    // undetectable); what it must never do is crash, hang, or read out of
+    // bounds — ASan/UBSan in CI give this loop teeth.
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+      for (const std::uint8_t mutation :
+           {static_cast<std::uint8_t>(frame[i] ^ 0x01),
+            static_cast<std::uint8_t>(frame[i] ^ 0x80),
+            static_cast<std::uint8_t>(frame[i] + 1),
+            static_cast<std::uint8_t>(0x00),
+            static_cast<std::uint8_t>(0xFF)}) {
+        auto mutated = frame;
+        mutated[i] = mutation;
+        const auto decoded = fleetwire::DecodeEstimateBatchRequest(mutated);
+        if (decoded.ok()) {
+          EXPECT_LE(decoded->requests.size(), 1000u);  // sane, bounded result
+        } else {
+          EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+              << "byte " << i << " set to " << int{mutation};
+          EXPECT_FALSE(decoded.status().message().empty());
+        }
       }
     }
   }

@@ -152,6 +152,44 @@ TEST(TransportTest, InProcessAndSocketMatchServeFrameBitwise) {
   }
 }
 
+TEST(TransportTest, InProcessLinkFaultsNeverTouchTheCallersFrame) {
+  // The in-process link serves the caller's bytes directly and copies them
+  // only when an injector is about to mangle them: a corrupted or
+  // truncated send must damage the link's copy, never the caller's frame.
+  Table table = SmallTable();
+  StatisticsFleet fleet(FleetOptions());
+  BuildFleet(fleet, table);
+  const std::vector<std::uint8_t> frame = fleetwire::Encode(
+      fleetwire::EstimateBatchRequestFrame{EstimateRequests(table)});
+  const std::vector<std::uint8_t> original = frame;
+
+  LinkFaultSpec spec;
+  spec.seed = 11;
+  spec.triggers = {
+      {transport::kAnyConnection, 0, LinkDirection::kSend,
+       LinkFaultKind::kCorrupt},
+      {transport::kAnyConnection, 1, LinkDirection::kSend,
+       LinkFaultKind::kTruncate},
+  };
+  LinkFaultInjector injector(spec);
+  InProcessTransport link(&fleet, &table, &injector);
+  for (int send = 0; send < 2; ++send) {
+    // The damaged frame may still decode (a flipped byte inside a column
+    // name or bound); either way the caller's bytes stay as they were.
+    (void)link.RoundTrip(frame, 5'000'000);
+    EXPECT_EQ(frame, original) << "send " << send;
+  }
+  EXPECT_EQ(injector.corrupts_injected(), 1u);
+  EXPECT_EQ(injector.truncates_injected(), 1u);
+
+  // The next send is clean and answers exactly as ServeFrame does.
+  const auto clean = link.RoundTrip(frame, 5'000'000);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  const auto direct = fleet.ServeFrame(original, table);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(*clean, *direct);
+}
+
 // -- Typed client wrappers over a real socket ---------------------------------
 
 TEST(TransportTest, TypedClientWrappersOverUnixSocket) {
